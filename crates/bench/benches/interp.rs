@@ -15,6 +15,10 @@
 //!   (`ExecMode::Full`, every element executed), flipping only
 //!   [`RunOptions::with_backend`] so the three runs share planning,
 //!   memory movement, and accounting.
+//! * `rbf_row_reduce` — the SVM trainer's kernel-row reduction (Figure
+//!   12): `gamma[0] * pow(pop() - xi[j], 2.0)` summed over `d = 784`
+//!   features per sample, an indexed-state reduction whose `xi[j]` loads
+//!   overflow the block's state-promotion table.
 //!
 //! Before/after numbers are recorded in `results/interp_speedup.txt` and
 //! `results/warp_speedup.txt`; a machine-readable copy of the latest run
@@ -29,7 +33,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use adaptic::bytecode::{self, compile_body, Frame};
 use adaptic::exec_ir::{exec_body, VecIo};
 use adaptic::warp::{self, full_mask, VecWarpIo, WarpFrame};
-use adaptic::{compile, EvalBackend, InputAxis, RunOptions};
+use adaptic::{compile, CompiledProgram, EvalBackend, InputAxis, RunOptions, StateBinding};
 use adaptic_bench::{bench_json, measure};
 use gpu_sim::{DeviceSpec, ExecMode};
 use streamir::parse::parse_program;
@@ -42,6 +46,24 @@ const HORNER_SRC: &str = "pipeline P(N) {
         push(acc * 0.001);
     }
 }";
+
+/// The SVM trainer's RBF kernel-row program.
+const RBF_ROW_SRC: &str = "pipeline RbfRow(D) {
+    actor Row(pop D, push 1) {
+        state xi[D];
+        state gamma[1];
+        acc = 0.0;
+        for j in 0..D {
+            acc = acc + gamma[0] * pow(pop() - xi[j], 2.0);
+        }
+        push(exp(0.0 - acc));
+    }
+}";
+
+/// MNIST's feature count.
+const RBF_D: usize = 784;
+/// Samples per kernel row.
+const RBF_ROWS: usize = 128;
 
 const FIRINGS: usize = 4096;
 const LANES: usize = 32;
@@ -85,6 +107,34 @@ fn run_warp(
         wf.reset(proto);
         warp::eval(prog, wf, mask, io);
     }
+}
+
+/// The compiled kernel-row program plus one row's input and state.
+fn rbf_row() -> (CompiledProgram, Vec<f32>, Vec<StateBinding>) {
+    let program = parse_program(RBF_ROW_SRC).unwrap();
+    let axis = InputAxis::new("n", 16, 1024, |_| {
+        streamir::graph::bindings(&[("D", RBF_D as i64)])
+    })
+    .with_items(|n| n * RBF_D as i64);
+    let compiled = compile(&program, &DeviceSpec::tesla_c2050(), &axis).unwrap();
+    let data = horner_input(RBF_ROWS * RBF_D);
+    let state = vec![
+        StateBinding::new("Row", "xi", data[..RBF_D].to_vec()),
+        StateBinding::new("Row", "gamma", vec![0.01]),
+    ];
+    (compiled, data, state)
+}
+
+fn run_rbf_row(compiled: &CompiledProgram, data: &[f32], state: &[StateBinding]) {
+    compiled
+        .run_opts(
+            RBF_ROWS as i64,
+            data,
+            state,
+            RunOptions::serial(ExecMode::Full),
+            None,
+        )
+        .unwrap();
 }
 
 fn bench_evaluators(c: &mut Criterion) {
@@ -173,6 +223,11 @@ fn bench_pipeline(c: &mut Criterion) {
                 .unwrap()
         })
     });
+
+    let (rbf, data, state) = rbf_row();
+    c.bench_function("interp/rbf_row_reduce", |b| {
+        b.iter(|| run_rbf_row(&rbf, &data, &state))
+    });
 }
 
 /// Re-measure the same workloads with plain wall-clock timing and write
@@ -247,8 +302,13 @@ fn emit_json(_c: &mut Criterion) {
     })
     .vs(&p_scalar);
 
-    let path = bench_json("interp", &[ast, scalar, warp_raw, p_ast, p_scalar, p_warp])
-        .expect("write BENCH_interp.json");
+    let (rbf, data, state) = rbf_row();
+    let rbf_row = measure("interp/rbf_row_reduce", 5, || {
+        run_rbf_row(&rbf, &data, &state)
+    });
+
+    let records = [ast, scalar, warp_raw, p_ast, p_scalar, p_warp, rbf_row];
+    let path = bench_json("interp", &records).expect("write BENCH_interp.json");
     println!("wrote {}", path.display());
 }
 

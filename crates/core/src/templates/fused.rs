@@ -120,26 +120,25 @@ struct WindowWarpIo<'c, 'd, 's> {
     cursor: [usize; MAX_LANES],
     state_slots: &'s [Option<u32>],
     addrs: &'c mut [Option<u64>],
-    vals: &'c mut [f32],
 }
 
 impl WarpIo for WindowWarpIo<'_, '_, '_> {
-    fn pop_row(&mut self, mask: u64, out: &mut [Value]) {
+    fn pop_row(&mut self, mask: u64, out: &mut [f32]) {
         for_lanes(mask, out.len(), |l| {
-            out[l] = Value::F32(self.windows[self.cursor[l]][l]);
+            out[l] = self.windows[self.cursor[l]][l];
             self.cursor[l] += 1;
         });
     }
 
-    fn peek_row(&mut self, _: u64, _: &mut [Value]) {
+    fn peek_row(&mut self, _: u64, _: &[i64], _: &mut [f32]) {
         panic!("peek rejected by reduction detection")
     }
 
-    fn push_row(&mut self, _: u64, _: &[Value]) {
+    fn push_row(&mut self, _: u64, _: &[f32]) {
         panic!("push inside reduction element")
     }
 
-    fn state_load_row(&mut self, id: u16, array: &str, mask: u64, row: &mut [Value]) {
+    fn state_load_row(&mut self, id: u16, array: &str, mask: u64, idx: &[i64], out: &mut [f32]) {
         let (slot, buf) = if let Some(Some(slot)) = self.state_slots.get(id as usize) {
             match self.spec.state.get(*slot as usize) {
                 Some((n, b)) if n == array => (*slot, *b),
@@ -148,16 +147,13 @@ impl WarpIo for WindowWarpIo<'_, '_, '_> {
         } else {
             resolve_state(self.spec, array)
         };
-        for_lanes(mask, row.len(), |l| {
-            self.addrs[l] = Some(bytecode::as_i64(row[l]) as u64);
-        });
+        for_lanes(mask, out.len(), |l| self.addrs[l] = Some(idx[l] as u64));
         self.ctx
-            .ld_global_row(SITE_STATE + slot, self.warp, buf, self.addrs, self.vals);
-        for_lanes(mask, row.len(), |l| row[l] = Value::F32(self.vals[l]));
+            .ld_global_row(SITE_STATE + slot, self.warp, buf, self.addrs, out);
         self.addrs.fill(None);
     }
 
-    fn state_store_row(&mut self, _: u16, _: &str, _: u64, _: &[Value], _: &[Value]) {
+    fn state_store_row(&mut self, _: u16, _: &str, _: u64, _: &[i64], _: &[f32]) {
         panic!("state store inside reduction element")
     }
 }
@@ -283,7 +279,7 @@ impl FusedReduce {
                             .expect("numeric element")
                     };
                     accs[s] = spec.op.apply(accs[s], v);
-                    ctx.compute(tid, spec.compute_per_elem() as u32);
+                    ctx.compute(tid, comps[s].compute_per_elem);
                     ctx.count_flops(1);
                 }
                 e += bdim;
@@ -360,9 +356,7 @@ impl FusedReduce {
                     let wf = &mut wfs[s];
                     wf.reset(&comp.elem_proto);
                     if let Some(slot) = comp.loop_slot {
-                        for_lanes(mask, live, |l| {
-                            wf.set_lane(slot, l, Value::I64(elems[l] as i64));
-                        });
+                        wf.set_row(slot, mask, |l| Value::I64(elems[l] as i64));
                     }
                     let mut io = WindowWarpIo {
                         ctx,
@@ -372,12 +366,11 @@ impl FusedReduce {
                         cursor: [0; MAX_LANES],
                         state_slots: &comp.state_slots,
                         addrs: &mut addrs,
-                        vals: &mut vals,
                     };
                     warp::eval_row(&comp.elem, wf, mask, &mut io, &mut row);
                     for_lanes(mask, live, |l| {
                         accs[s][l] = spec.op.apply(accs[s][l], row[l]);
-                        ctx.compute((lane0 + l) as u32, spec.compute_per_elem() as u32);
+                        ctx.compute((lane0 + l) as u32, comp.compute_per_elem);
                         ctx.count_flops(1);
                     });
                 }

@@ -24,6 +24,7 @@ use crate::bytecode::{self, FramePool};
 use crate::exec_ir::IrIo;
 use crate::layout::Layout;
 use crate::runtime::EvalBackend;
+use crate::templates::promote::StatePromotion;
 use crate::warp::{self, for_lanes, full_mask, WarpFramePool, WarpIo, MAX_LANES};
 
 /// Access-site ids used by this template.
@@ -334,24 +335,9 @@ struct MapIo<'c, 'd, 'k> {
     block_base: usize,
     pops: usize,
     pushes: usize,
-    /// Block-level cache of state loads (scalar promotion): uniform
-    /// state reads — scale factors, rotation coefficients — hit global
-    /// memory once per block instead of once per unit, like the constant
-    /// cache of a real GPU. Capped so array-indexed state stays honest.
-    state_cache: &'c mut Vec<((u32, i64), f32)>,
+    /// The block's state promotion (see `templates::promote`).
+    promo: &'c mut StatePromotion,
 }
-
-/// Maximum distinct `(slot, idx)` keys promoted per block.
-///
-/// When a block probes more keys than this, which ones get promoted
-/// depends on probe order: the warp backend fills the cache op-major
-/// (lockstep warps touch memory one instruction at a time — the order
-/// real hardware would populate its constant cache in), while the scalar
-/// backends fill it tid-major (each thread runs to completion). Load
-/// counters can therefore differ between backends on overflowing blocks;
-/// outputs never do, and stats stay bit-identical whenever the block's
-/// state working set fits the cache.
-const STATE_CACHE_CAP: usize = 64;
 
 impl IrIo for MapIo<'_, '_, '_> {
     fn pop(&mut self) -> f32 {
@@ -418,7 +404,8 @@ impl IrIo for MapIo<'_, '_, '_> {
             .find(|(_, (n, _))| n == array)
             .map(|(i, (_, b))| (i as u32, *b))
             .unwrap_or_else(|| panic!("unbound state array `{array}`"));
-        self.cached_state_load(slot, buf, idx)
+        self.promo
+            .load(self.ctx, SITE_STATE + slot, self.tid, slot, buf, idx)
     }
 
     fn state_store(&mut self, array: &str, idx: i64, v: f32) {
@@ -436,7 +423,8 @@ impl IrIo for MapIo<'_, '_, '_> {
 
     fn state_load_id(&mut self, id: u16, array: &str, idx: i64) -> f32 {
         let (slot, buf) = self.kernel.state_ref(id, array);
-        self.cached_state_load(slot, buf, idx)
+        self.promo
+            .load(self.ctx, SITE_STATE + slot, self.tid, slot, buf, idx)
     }
 
     fn state_store_id(&mut self, id: u16, array: &str, idx: i64, v: f32) {
@@ -446,36 +434,17 @@ impl IrIo for MapIo<'_, '_, '_> {
     }
 }
 
-impl MapIo<'_, '_, '_> {
-    /// Shared scalar-promotion cache used by both the name- and id-based
-    /// state hooks, so the two execution paths produce identical stats.
-    fn cached_state_load(&mut self, slot: u32, buf: BufId, idx: i64) -> f32 {
-        if let Some((_, v)) = self.state_cache.iter().find(|(k, _)| *k == (slot, idx)) {
-            return *v;
-        }
-        let v = self
-            .ctx
-            .ld_global(SITE_STATE + slot, self.tid, buf, idx as usize);
-        if self.state_cache.len() < STATE_CACHE_CAP {
-            self.state_cache.push(((slot, idx), v));
-        }
-        v
-    }
-}
-
 /// Warp-granular I/O for the map template: each [`WarpIo`] call serves
 /// one opcode for a whole warp of units, handing `gpu_sim` complete
 /// `addrs[lane]` rows (one accounting call per warp memory instruction)
 /// instead of reassembling warps lane-by-lane. Lane `l` executes unit
-/// `unit0 + l` as thread `tid0 + l`; pop/push cursors are per lane, since
+/// `unit0 + l` as thread `lane0 + l`; pop/push cursors are per lane, since
 /// divergent lanes consume and produce independently.
 struct MapWarpIo<'c, 'd, 'k> {
     ctx: &'c mut BlockCtx<'d>,
     kernel: &'k MapKernel,
     /// Warp index within the block (drives the accounting row key).
     warp: u32,
-    /// Thread id of lane 0.
-    tid0: u32,
     /// Unit of lane 0 (units are lane-consecutive by construction).
     unit0: usize,
     /// First unit handled by this block (staging offsets are block-local).
@@ -486,37 +455,25 @@ struct MapWarpIo<'c, 'd, 'k> {
     pushes: [usize; MAX_LANES],
     /// Reused address row, `warp_size` wide; `None` = predicated off.
     addrs: &'c mut [Option<u64>],
-    /// Reused value row for loads/stores.
-    vals: &'c mut [f32],
-    /// The block's scalar-promotion cache, shared with every warp of the
-    /// block (same structure the scalar path uses).
-    state_cache: &'c mut Vec<((u32, i64), f32)>,
+    /// The block's state promotion, shared with every warp of the block
+    /// (same table the scalar path uses).
+    promo: &'c mut StatePromotion,
 }
 
 impl MapWarpIo<'_, '_, '_> {
-    #[inline]
-    fn lanes(&self) -> usize {
-        self.addrs.len()
-    }
-
-    /// Issue the row in `self.addrs` as a load of `kind` and scatter the
-    /// results into `out` as `F32` values.
-    fn load_row(&mut self, site: u32, buf: Option<BufId>, mask: u64, out: &mut [Value]) {
+    /// Issue the row in `self.addrs` as a load into `out` (global when
+    /// `buf` is given, else the shared staging area).
+    fn load_row(&mut self, site: u32, buf: Option<BufId>, out: &mut [f32]) {
         match buf {
-            Some(b) => self
-                .ctx
-                .ld_global_row(site, self.warp, b, self.addrs, self.vals),
-            None => self
-                .ctx
-                .ld_shared_row(site, self.warp, self.addrs, self.vals),
+            Some(b) => self.ctx.ld_global_row(site, self.warp, b, self.addrs, out),
+            None => self.ctx.ld_shared_row(site, self.warp, self.addrs, out),
         }
-        for_lanes(mask, out.len(), |l| out[l] = Value::F32(self.vals[l]));
         self.addrs.fill(None);
     }
 }
 
 impl WarpIo for MapWarpIo<'_, '_, '_> {
-    fn pop_row(&mut self, mask: u64, out: &mut [Value]) {
+    fn pop_row(&mut self, mask: u64, out: &mut [f32]) {
         let k = self.kernel;
         if k.stage_window {
             for_lanes(mask, out.len(), |l| {
@@ -525,7 +482,7 @@ impl WarpIo for MapWarpIo<'_, '_, '_> {
                 self.pops[l] += 1;
                 self.addrs[l] = Some(local as u64);
             });
-            self.load_row(SITE_STAGE_RD, None, mask, out);
+            self.load_row(SITE_STAGE_RD, None, out);
             return;
         }
         for_lanes(mask, out.len(), |l| {
@@ -535,24 +492,24 @@ impl WarpIo for MapWarpIo<'_, '_, '_> {
             self.pops[l] += 1;
             self.addrs[l] = Some(addr as u64);
         });
-        self.load_row(SITE_POP, Some(k.in_buf), mask, out);
+        self.load_row(SITE_POP, Some(k.in_buf), out);
     }
 
-    fn peek_row(&mut self, mask: u64, row: &mut [Value]) {
+    fn peek_row(&mut self, mask: u64, offsets: &[i64], out: &mut [f32]) {
         let k = self.kernel;
         if k.stage_window && k.window_pop.is_none() {
-            for_lanes(mask, row.len(), |l| {
+            for_lanes(mask, out.len(), |l| {
                 let unit = self.unit0 + l;
-                let off = bytecode::as_i64(row[l]) as usize;
+                let off = offsets[l] as usize;
                 let local = (unit - self.block_base) * k.pops_per_unit + off;
                 self.addrs[l] = Some(local as u64);
             });
-            self.load_row(SITE_STAGE_RD, None, mask, row);
+            self.load_row(SITE_STAGE_RD, None, out);
             return;
         }
-        for_lanes(mask, row.len(), |l| {
+        for_lanes(mask, out.len(), |l| {
             let unit = self.unit0 + l;
-            let off = bytecode::as_i64(row[l]) as usize;
+            let off = offsets[l] as usize;
             let addr = match k.window_pop {
                 Some(w) => {
                     let firing = unit / k.units_per_firing.max(1);
@@ -562,10 +519,10 @@ impl WarpIo for MapWarpIo<'_, '_, '_> {
             };
             self.addrs[l] = Some(addr as u64);
         });
-        self.load_row(SITE_PEEK, Some(k.in_buf), mask, row);
+        self.load_row(SITE_PEEK, Some(k.in_buf), out);
     }
 
-    fn push_row(&mut self, mask: u64, vals: &[Value]) {
+    fn push_row(&mut self, mask: u64, vals: &[f32]) {
         let k = self.kernel;
         for_lanes(mask, vals.len(), |l| {
             let unit = self.unit0 + l;
@@ -577,46 +534,24 @@ impl WarpIo for MapWarpIo<'_, '_, '_> {
             };
             self.pushes[l] += 1;
             self.addrs[l] = Some(addr as u64);
-            self.vals[l] = bytecode::as_f32(vals[l]);
         });
         self.ctx
-            .st_global_row(SITE_PUSH, self.warp, k.out_buf, self.addrs, self.vals);
+            .st_global_row(SITE_PUSH, self.warp, k.out_buf, self.addrs, vals);
         self.addrs.fill(None);
     }
 
-    fn state_load_row(&mut self, id: u16, array: &str, mask: u64, row: &mut [Value]) {
-        // State loads go through the block's scalar-promotion cache, so
-        // rows mix hits (no access) and misses (one access) — served per
-        // lane in ascending lane order, exactly like the scalar path.
+    fn state_load_row(&mut self, id: u16, array: &str, mask: u64, idx: &[i64], out: &mut [f32]) {
         let (slot, buf) = self.kernel.state_ref(id, array);
-        let lanes = self.lanes().min(row.len());
-        for_lanes(mask, lanes, |l| {
-            let idx = bytecode::as_i64(row[l]);
-            let v = if let Some((_, v)) =
-                self.state_cache.iter().find(|(key, _)| *key == (slot, idx))
-            {
-                *v
-            } else {
-                let v =
-                    self.ctx
-                        .ld_global(SITE_STATE + slot, self.tid0 + l as u32, buf, idx as usize);
-                if self.state_cache.len() < STATE_CACHE_CAP {
-                    self.state_cache.push(((slot, idx), v));
-                }
-                v
-            };
-            row[l] = Value::F32(v);
-        });
+        let site = SITE_STATE + slot;
+        self.promo
+            .load_row(self.ctx, site, self.warp, slot, buf, mask, idx, out);
     }
 
-    fn state_store_row(&mut self, id: u16, array: &str, mask: u64, idx: &[Value], vals: &[Value]) {
+    fn state_store_row(&mut self, id: u16, array: &str, mask: u64, idx: &[i64], vals: &[f32]) {
         let (slot, buf) = self.kernel.state_ref(id, array);
-        for_lanes(mask, idx.len(), |l| {
-            self.addrs[l] = Some(bytecode::as_i64(idx[l]) as u64);
-            self.vals[l] = bytecode::as_f32(vals[l]);
-        });
+        for_lanes(mask, idx.len(), |l| self.addrs[l] = Some(idx[l] as u64));
         self.ctx
-            .st_global_row(SITE_STATE + slot, self.warp, buf, self.addrs, self.vals);
+            .st_global_row(SITE_STATE + slot, self.warp, buf, self.addrs, vals);
         self.addrs.fill(None);
     }
 }
@@ -665,11 +600,20 @@ impl Kernel for MapKernel {
             }
             ctx.sync();
         }
-        let mut state_cache: Vec<((u32, i64), f32)> = Vec::new();
-        if self.backend == EvalBackend::Warp {
-            self.run_block_warp(base, ctx, &mut state_cache);
-            return;
-        }
+        StatePromotion::with_block(|promo| {
+            if self.backend == EvalBackend::Warp {
+                self.run_block_warp(base, ctx, promo);
+            } else {
+                self.run_block_scalar(base, ctx, promo);
+            }
+        });
+    }
+}
+
+impl MapKernel {
+    /// Scalar block execution (the bytecode and AST oracles): each thread
+    /// runs its units to completion.
+    fn run_block_scalar(&self, base: usize, ctx: &mut BlockCtx<'_>, promo: &mut StatePromotion) {
         let mut frame = self.frames.take();
         frame.fit(&self.program);
         let mut locals = std::collections::HashMap::new();
@@ -690,7 +634,7 @@ impl Kernel for MapKernel {
                     block_base: base,
                     pops: 0,
                     pushes: 0,
-                    state_cache: &mut state_cache,
+                    promo: &mut *promo,
                 };
                 if self.backend == EvalBackend::Ast {
                     locals.clear();
@@ -712,20 +656,13 @@ impl Kernel for MapKernel {
         }
         self.frames.give(frame);
     }
-}
 
-impl MapKernel {
     /// Warp-batched block execution: one [`crate::warp::eval`] per warp
     /// of units, each opcode dispatched once and applied across the
     /// warp's lanes, with whole address rows handed to the accounting
     /// engine. Unit assignment, addressing, state caching and
     /// compute/flop charging are identical to the scalar loop.
-    fn run_block_warp(
-        &self,
-        base: usize,
-        ctx: &mut BlockCtx<'_>,
-        state_cache: &mut Vec<((u32, i64), f32)>,
-    ) {
+    fn run_block_warp(&self, base: usize, ctx: &mut BlockCtx<'_>, promo: &mut StatePromotion) {
         let ws = ctx.warp_size() as usize;
         let bdim = self.block_dim as usize;
         let width = ws.min(bdim);
@@ -733,7 +670,6 @@ impl MapKernel {
         let mut wf = self.warp_frames.take();
         wf.fit(&self.program, width);
         let mut addrs = vec![None; ws];
-        let mut vals = vec![0.0f32; ws];
         for c in 0..self.coarsen {
             let sweep0 = base + c * bdim;
             let mut lane0 = 0usize;
@@ -747,22 +683,20 @@ impl MapKernel {
                 let live = (self.units - unit0).min((bdim - lane0).min(ws));
                 wf.reset(&self.proto);
                 if let Some(slot) = self.loop_slot {
-                    for l in 0..live {
-                        wf.set_lane(slot, l, Value::I64(((unit0 + l) % upf) as i64));
-                    }
+                    wf.set_row(slot, full_mask(live), |l| {
+                        Value::I64(((unit0 + l) % upf) as i64)
+                    });
                 }
                 let mut io = MapWarpIo {
                     ctx,
                     kernel: self,
                     warp: (lane0 / ws) as u32,
-                    tid0: lane0 as u32,
                     unit0,
                     block_base: base,
                     pops: [0; MAX_LANES],
                     pushes: [0; MAX_LANES],
                     addrs: &mut addrs,
-                    vals: &mut vals,
-                    state_cache: &mut *state_cache,
+                    promo: &mut *promo,
                 };
                 warp::eval(&self.program, &mut wf, full_mask(live), &mut io);
                 for l in 0..live {

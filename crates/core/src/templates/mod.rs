@@ -9,9 +9,13 @@
 //! * [`reduction`] — Figure 8's single-kernel and two-kernel reductions;
 //! * [`stencil`] — the super-tile shared-memory stencil of Figure 6;
 //! * [`fused`] — horizontally-integrated sibling reductions.
+//!
+//! The map and reduction templates share one block-level state-promotion
+//! table (`promote`).
 
 pub mod fused;
 pub mod map;
+mod promote;
 pub mod reduction;
 pub mod stencil;
 

@@ -32,6 +32,7 @@ use crate::bytecode::{self, Frame, FramePool};
 use crate::exec_ir::{eval_expr, IrIo};
 use crate::layout::Layout;
 use crate::runtime::EvalBackend;
+use crate::templates::promote::StatePromotion;
 use crate::warp::{self, for_lanes, WarpFramePool, WarpIo, MAX_LANES};
 
 const SITE_ELEM: u32 = 0;
@@ -94,6 +95,8 @@ pub struct CompiledReduce {
     pub(crate) loop_slot: Option<u16>,
     /// Element-program state id → index into `ReduceSpec::state`.
     pub(crate) state_slots: Vec<Option<u32>>,
+    /// [`ReduceSpec::compute_per_elem`], charged per element.
+    pub(crate) compute_per_elem: u32,
     post: Option<(Arc<bytecode::Program>, Vec<Value>, Option<u16>)>,
 }
 
@@ -183,6 +186,7 @@ impl ReduceSpec {
                 elem_proto,
                 loop_slot,
                 state_slots,
+                compute_per_elem: self.compute_per_elem() as u32,
                 post,
             })
         })
@@ -250,16 +254,12 @@ struct ElemIo<'c, 'd, 's> {
     global_elem: usize,
     total_elems: usize,
     pops: usize,
-    /// Block-level scalar-promotion cache for unit-invariant state loads
-    /// (see `templates::map`). Capped so per-element indexed state stays
-    /// honestly counted.
-    state_cache: &'c mut Vec<((u32, i64), f32)>,
+    /// The block's state promotion (see `templates::promote`).
+    promo: &'c mut StatePromotion,
     /// Element-program state id → `spec.state` index (empty on the AST
     /// oracle path, which only uses the name-based hooks).
     state_slots: &'s [Option<u32>],
 }
-
-const STATE_CACHE_CAP: usize = 64;
 
 impl IrIo for ElemIo<'_, '_, '_> {
     fn pop(&mut self) -> f32 {
@@ -290,7 +290,8 @@ impl IrIo for ElemIo<'_, '_, '_> {
             .find(|(_, (n, _))| n == array)
             .map(|(i, (_, b))| (i as u32, *b))
             .unwrap_or_else(|| panic!("unbound state array `{array}`"));
-        self.cached_state_load(slot, buf, idx)
+        self.promo
+            .load(self.ctx, SITE_STATE + slot, self.tid, slot, buf, idx)
     }
 
     fn state_store(&mut self, _: &str, _: i64, _: f32) {
@@ -301,29 +302,14 @@ impl IrIo for ElemIo<'_, '_, '_> {
         if let Some(Some(slot)) = self.state_slots.get(id as usize) {
             if let Some((n, b)) = self.spec.state.get(*slot as usize) {
                 if n == array {
-                    let buf = *b;
-                    return self.cached_state_load(*slot, buf, idx);
+                    let (slot, buf) = (*slot, *b);
+                    return self
+                        .promo
+                        .load(self.ctx, SITE_STATE + slot, self.tid, slot, buf, idx);
                 }
             }
         }
         self.state_load(array, idx)
-    }
-}
-
-impl ElemIo<'_, '_, '_> {
-    /// Shared scalar-promotion cache used by both the name- and id-based
-    /// state hooks, so the two execution paths produce identical stats.
-    fn cached_state_load(&mut self, slot: u32, buf: BufId, idx: i64) -> f32 {
-        if let Some((_, v)) = self.state_cache.iter().find(|(k, _)| *k == (slot, idx)) {
-            return *v;
-        }
-        let v = self
-            .ctx
-            .ld_global(SITE_STATE + slot, self.tid, buf, idx as usize);
-        if self.state_cache.len() < STATE_CACHE_CAP {
-            self.state_cache.push(((slot, idx), v));
-        }
-        v
     }
 }
 
@@ -336,7 +322,6 @@ struct ElemWarpIo<'c, 'd, 's> {
     ctx: &'c mut BlockCtx<'d>,
     spec: &'s ReduceSpec,
     warp: u32,
-    tid0: u32,
     in_buf: BufId,
     in_layout: Layout,
     /// Per-lane global element index.
@@ -344,10 +329,8 @@ struct ElemWarpIo<'c, 'd, 's> {
     total_elems: usize,
     /// Per-lane pop cursor within the current element.
     pops: [usize; MAX_LANES],
-    state_cache: &'c mut Vec<((u32, i64), f32)>,
+    promo: &'c mut StatePromotion,
     state_slots: &'s [Option<u32>],
-    addrs: &'c mut [Option<u64>],
-    vals: &'c mut [f32],
 }
 
 impl ElemWarpIo<'_, '_, '_> {
@@ -370,53 +353,37 @@ impl ElemWarpIo<'_, '_, '_> {
 }
 
 impl WarpIo for ElemWarpIo<'_, '_, '_> {
-    fn pop_row(&mut self, mask: u64, out: &mut [Value]) {
+    fn pop_row(&mut self, mask: u64, out: &mut [f32]) {
         let ppe = self.spec.pops_per_elem;
+        let mut addrs = [None; MAX_LANES];
         for_lanes(mask, out.len(), |l| {
             let addr = self
                 .in_layout
                 .addr(self.globals[l], self.pops[l], ppe, self.total_elems);
             self.pops[l] += 1;
-            self.addrs[l] = Some(addr as u64);
+            addrs[l] = Some(addr as u64);
         });
+        let ws = self.ctx.warp_size() as usize;
         self.ctx
-            .ld_global_row(SITE_ELEM, self.warp, self.in_buf, self.addrs, self.vals);
-        for_lanes(mask, out.len(), |l| out[l] = Value::F32(self.vals[l]));
-        self.addrs.fill(None);
+            .ld_global_row(SITE_ELEM, self.warp, self.in_buf, &addrs[..ws], out);
     }
 
-    fn peek_row(&mut self, _: u64, _: &mut [Value]) {
+    fn peek_row(&mut self, _: u64, _: &[i64], _: &mut [f32]) {
         panic!("peek rejected by reduction detection")
     }
 
-    fn push_row(&mut self, _: u64, _: &[Value]) {
+    fn push_row(&mut self, _: u64, _: &[f32]) {
         panic!("push inside reduction element")
     }
 
-    fn state_load_row(&mut self, id: u16, array: &str, mask: u64, row: &mut [Value]) {
-        // Served per lane through the block's scalar-promotion cache in
-        // ascending lane order, mirroring the scalar path exactly.
+    fn state_load_row(&mut self, id: u16, array: &str, mask: u64, idx: &[i64], out: &mut [f32]) {
         let (slot, buf) = self.state_ref(id, array);
-        for_lanes(mask, row.len(), |l| {
-            let idx = bytecode::as_i64(row[l]);
-            let v = if let Some((_, v)) =
-                self.state_cache.iter().find(|(key, _)| *key == (slot, idx))
-            {
-                *v
-            } else {
-                let v =
-                    self.ctx
-                        .ld_global(SITE_STATE + slot, self.tid0 + l as u32, buf, idx as usize);
-                if self.state_cache.len() < STATE_CACHE_CAP {
-                    self.state_cache.push(((slot, idx), v));
-                }
-                v
-            };
-            row[l] = Value::F32(v);
-        });
+        let site = SITE_STATE + slot;
+        self.promo
+            .load_row(self.ctx, site, self.warp, slot, buf, mask, idx, out);
     }
 
-    fn state_store_row(&mut self, _: u16, _: &str, _: u64, _: &[Value], _: &[Value]) {
+    fn state_store_row(&mut self, _: u16, _: &str, _: u64, _: &[i64], _: &[f32]) {
         panic!("state store inside reduction element")
     }
 }
@@ -432,8 +399,7 @@ fn warp_accumulate(
     spec: &ReduceSpec,
     comp: &CompiledReduce,
     wf: &mut warp::WarpFrame,
-    scratch: &mut WarpScratch,
-    state_cache: &mut Vec<((u32, i64), f32)>,
+    promo: &mut StatePromotion,
     warp_idx: u32,
     tid0: u32,
     live: usize,
@@ -448,14 +414,12 @@ fn warp_accumulate(
     mut mask: u64,
     acc: &mut [f32; MAX_LANES],
 ) {
-    let cpe = spec.compute_per_elem() as u32;
     let fpe = 1 + spec.pops_per_elem as u64;
+    let mut row = [0.0f32; MAX_LANES];
     while mask != 0 {
         wf.reset(&comp.elem_proto);
         if let Some(slot) = comp.loop_slot {
-            for_lanes(mask, live, |l| {
-                wf.set_lane(slot, l, Value::I64(elems[l] as i64));
-            });
+            wf.set_row(slot, mask, |l| Value::I64(elems[l] as i64));
         }
         let mut globals = [0usize; MAX_LANES];
         for_lanes(mask, live, |l| {
@@ -465,23 +429,20 @@ fn warp_accumulate(
             ctx,
             spec,
             warp: warp_idx,
-            tid0,
             in_buf,
             in_layout,
             globals,
             total_elems,
             pops: [0; MAX_LANES],
-            state_cache: &mut *state_cache,
+            promo: &mut *promo,
             state_slots: &comp.state_slots,
-            addrs: &mut scratch.addrs,
-            vals: &mut scratch.vals,
         };
-        warp::eval_row(&comp.elem, wf, mask, &mut io, &mut scratch.row);
+        warp::eval_row(&comp.elem, wf, mask, &mut io, &mut row);
         let mut still = 0u64;
         for_lanes(mask, live, |l| {
-            acc[l] = spec.op.apply(acc[l], scratch.row[l]);
+            acc[l] = spec.op.apply(acc[l], row[l]);
             let tid = tid0 + l as u32;
-            ctx.compute(tid, cpe);
+            ctx.compute(tid, comp.compute_per_elem);
             ctx.count_flops(fpe);
             elems[l] += stride;
             if elems[l] < limit {
@@ -492,41 +453,21 @@ fn warp_accumulate(
     }
 }
 
-/// Reused per-block warp row buffers (`warp_size`-wide address/value rows
-/// plus the `eval_row` result row).
-struct WarpScratch {
-    addrs: Vec<Option<u64>>,
-    vals: Vec<f32>,
-    row: [f32; MAX_LANES],
-}
-
-impl WarpScratch {
-    fn new(ws: usize) -> WarpScratch {
-        WarpScratch {
-            addrs: vec![None; ws],
-            vals: vec![0.0; ws],
-            row: [0.0; MAX_LANES],
-        }
+/// Store each live lane's accumulator to its thread's shared slot as one
+/// row (the warp form of the scalar loop's per-thread `st_shared`).
+fn store_accs(
+    ctx: &mut BlockCtx<'_>,
+    warp_idx: u32,
+    tid0: usize,
+    live: usize,
+    acc: &[f32; MAX_LANES],
+) {
+    let mut addrs = [None; MAX_LANES];
+    for (l, slot) in addrs.iter_mut().enumerate().take(live) {
+        *slot = Some((tid0 + l) as u64);
     }
-
-    /// Store each live lane's accumulator to its thread's shared slot as
-    /// one row (the warp form of the scalar loop's per-thread
-    /// `st_shared`).
-    fn store_accs(
-        &mut self,
-        ctx: &mut BlockCtx<'_>,
-        warp_idx: u32,
-        tid0: usize,
-        live: usize,
-        acc: &[f32; MAX_LANES],
-    ) {
-        for (l, slot) in self.addrs.iter_mut().enumerate().take(live) {
-            *slot = Some((tid0 + l) as u64);
-            self.vals[l] = acc[l];
-        }
-        ctx.st_shared_row(SITE_SHARED_ST, warp_idx, &self.addrs, &self.vals);
-        self.addrs.fill(None);
-    }
+    let ws = ctx.warp_size() as usize;
+    ctx.st_shared_row(SITE_SHARED_ST, warp_idx, &addrs[..ws], acc);
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -542,7 +483,7 @@ fn eval_element(
     array: usize,
     n_elements: usize,
     total_elems: usize,
-    state_cache: &mut Vec<((u32, i64), f32)>,
+    promo: &mut StatePromotion,
 ) -> f32 {
     let mut io = ElemIo {
         ctx,
@@ -553,7 +494,7 @@ fn eval_element(
         global_elem: array * n_elements + elem_in_array,
         total_elems,
         pops: 0,
-        state_cache,
+        promo,
         state_slots: &comp.state_slots,
     };
     if spec.exec.backend == EvalBackend::Ast {
@@ -653,94 +594,93 @@ impl Kernel for SingleKernelReduce {
         let tpa = self.threads_per_array();
         let total_elems = self.n_arrays * self.n_elements;
         let comp = self.spec.compiled().clone();
-        let mut state_cache: Vec<((u32, i64), f32)> = Vec::new();
-        // Phase 1: grid-stride accumulation into registers, then shared.
-        if self.spec.exec.backend == EvalBackend::Warp {
-            let ws = ctx.warp_size() as usize;
-            let bdim = self.block_dim as usize;
-            let mut wf = self.spec.exec.warp_frames.take();
-            wf.fit(&comp.elem, ws.min(bdim));
-            let mut scratch = WarpScratch::new(ws);
-            let mut lane0 = 0usize;
-            while lane0 < bdim {
-                let live = (bdim - lane0).min(ws);
-                let mut acc = [self.spec.op.identity(); MAX_LANES];
-                let mut arrays = [0usize; MAX_LANES];
-                let mut elems = [0usize; MAX_LANES];
-                let mut mask = 0u64;
-                for l in 0..live {
-                    let tid = lane0 + l;
-                    let local_array = tid / tpa;
-                    arrays[l] = block as usize * self.arrays_per_block + local_array;
-                    elems[l] = tid % tpa;
-                    if local_array < self.arrays_per_block
-                        && arrays[l] < self.n_arrays
-                        && elems[l] < self.n_elements
-                    {
-                        mask |= 1 << l;
+        StatePromotion::with_block(|promo| {
+            // Phase 1: grid-stride accumulation into registers, then shared.
+            if self.spec.exec.backend == EvalBackend::Warp {
+                let ws = ctx.warp_size() as usize;
+                let bdim = self.block_dim as usize;
+                let mut wf = self.spec.exec.warp_frames.take();
+                wf.fit(&comp.elem, ws.min(bdim));
+                let mut lane0 = 0usize;
+                while lane0 < bdim {
+                    let live = (bdim - lane0).min(ws);
+                    let mut acc = [self.spec.op.identity(); MAX_LANES];
+                    let mut arrays = [0usize; MAX_LANES];
+                    let mut elems = [0usize; MAX_LANES];
+                    let mut mask = 0u64;
+                    for l in 0..live {
+                        let tid = lane0 + l;
+                        let local_array = tid / tpa;
+                        arrays[l] = block as usize * self.arrays_per_block + local_array;
+                        elems[l] = tid % tpa;
+                        if local_array < self.arrays_per_block
+                            && arrays[l] < self.n_arrays
+                            && elems[l] < self.n_elements
+                        {
+                            mask |= 1 << l;
+                        }
                     }
+                    let warp_idx = (lane0 / ws) as u32;
+                    warp_accumulate(
+                        ctx,
+                        &self.spec,
+                        &comp,
+                        &mut wf,
+                        promo,
+                        warp_idx,
+                        lane0 as u32,
+                        live,
+                        self.in_buf,
+                        self.in_layout,
+                        self.n_elements,
+                        total_elems,
+                        &arrays,
+                        &mut elems,
+                        tpa,
+                        self.n_elements,
+                        mask,
+                        &mut acc,
+                    );
+                    store_accs(ctx, warp_idx, lane0, live, &acc);
+                    lane0 += ws;
                 }
-                let warp_idx = (lane0 / ws) as u32;
-                warp_accumulate(
-                    ctx,
-                    &self.spec,
-                    &comp,
-                    &mut wf,
-                    &mut scratch,
-                    &mut state_cache,
-                    warp_idx,
-                    lane0 as u32,
-                    live,
-                    self.in_buf,
-                    self.in_layout,
-                    self.n_elements,
-                    total_elems,
-                    &arrays,
-                    &mut elems,
-                    tpa,
-                    self.n_elements,
-                    mask,
-                    &mut acc,
-                );
-                scratch.store_accs(ctx, warp_idx, lane0, live, &acc);
-                lane0 += ws;
-            }
-            self.spec.exec.warp_frames.give(wf);
-        } else {
-            let mut frame = self.spec.exec.frames.take();
-            frame.fit(&comp.elem);
-            for tid in ctx.threads() {
-                let local_array = tid as usize / tpa;
-                let lane = tid as usize % tpa;
-                let array = block as usize * self.arrays_per_block + local_array;
-                let mut acc = self.spec.op.identity();
-                if local_array < self.arrays_per_block && array < self.n_arrays {
-                    let mut e = lane;
-                    while e < self.n_elements {
-                        let v = eval_element(
-                            ctx,
-                            &self.spec,
-                            &comp,
-                            &mut frame,
-                            tid,
-                            self.in_buf,
-                            self.in_layout,
-                            e,
-                            array,
-                            self.n_elements,
-                            total_elems,
-                            &mut state_cache,
-                        );
-                        acc = self.spec.op.apply(acc, v);
-                        ctx.compute(tid, self.spec.compute_per_elem() as u32);
-                        ctx.count_flops(1 + self.spec.pops_per_elem as u64);
-                        e += tpa;
+                self.spec.exec.warp_frames.give(wf);
+            } else {
+                let mut frame = self.spec.exec.frames.take();
+                frame.fit(&comp.elem);
+                for tid in ctx.threads() {
+                    let local_array = tid as usize / tpa;
+                    let lane = tid as usize % tpa;
+                    let array = block as usize * self.arrays_per_block + local_array;
+                    let mut acc = self.spec.op.identity();
+                    if local_array < self.arrays_per_block && array < self.n_arrays {
+                        let mut e = lane;
+                        while e < self.n_elements {
+                            let v = eval_element(
+                                ctx,
+                                &self.spec,
+                                &comp,
+                                &mut frame,
+                                tid,
+                                self.in_buf,
+                                self.in_layout,
+                                e,
+                                array,
+                                self.n_elements,
+                                total_elems,
+                                promo,
+                            );
+                            acc = self.spec.op.apply(acc, v);
+                            ctx.compute(tid, comp.compute_per_elem);
+                            ctx.count_flops(1 + self.spec.pops_per_elem as u64);
+                            e += tpa;
+                        }
                     }
+                    ctx.st_shared(SITE_SHARED_ST, tid, tid as usize, acc);
                 }
-                ctx.st_shared(SITE_SHARED_ST, tid, tid as usize, acc);
+                self.spec.exec.frames.give(frame);
             }
-            self.spec.exec.frames.give(frame);
-        }
+        });
         ctx.sync();
         // Phase 2: tree reduction per array group.
         for local_array in 0..self.arrays_per_block {
@@ -814,84 +754,82 @@ impl Kernel for InitialReduce {
         let hi = ((chunk + 1) * chunk_size).min(self.n_elements);
         let total_elems = self.n_arrays * self.n_elements;
         let comp = self.spec.compiled().clone();
-        let mut state_cache: Vec<((u32, i64), f32)> = Vec::new();
-
-        if self.spec.exec.backend == EvalBackend::Warp {
-            let ws = ctx.warp_size() as usize;
-            let bdim = self.block_dim as usize;
-            let mut wf = self.spec.exec.warp_frames.take();
-            wf.fit(&comp.elem, ws.min(bdim));
-            let mut scratch = WarpScratch::new(ws);
-            let mut arrays = [0usize; MAX_LANES];
-            arrays.fill(array);
-            let mut lane0 = 0usize;
-            while lane0 < bdim {
-                let live = (bdim - lane0).min(ws);
-                let mut acc = [self.spec.op.identity(); MAX_LANES];
-                let mut elems = [0usize; MAX_LANES];
-                let mut mask = 0u64;
-                for (l, elem) in elems.iter_mut().enumerate().take(live) {
-                    *elem = lo + lane0 + l;
-                    if *elem < hi {
-                        mask |= 1 << l;
+        StatePromotion::with_block(|promo| {
+            if self.spec.exec.backend == EvalBackend::Warp {
+                let ws = ctx.warp_size() as usize;
+                let bdim = self.block_dim as usize;
+                let mut wf = self.spec.exec.warp_frames.take();
+                wf.fit(&comp.elem, ws.min(bdim));
+                let mut arrays = [0usize; MAX_LANES];
+                arrays.fill(array);
+                let mut lane0 = 0usize;
+                while lane0 < bdim {
+                    let live = (bdim - lane0).min(ws);
+                    let mut acc = [self.spec.op.identity(); MAX_LANES];
+                    let mut elems = [0usize; MAX_LANES];
+                    let mut mask = 0u64;
+                    for (l, elem) in elems.iter_mut().enumerate().take(live) {
+                        *elem = lo + lane0 + l;
+                        if *elem < hi {
+                            mask |= 1 << l;
+                        }
                     }
-                }
-                let warp_idx = (lane0 / ws) as u32;
-                warp_accumulate(
-                    ctx,
-                    &self.spec,
-                    &comp,
-                    &mut wf,
-                    &mut scratch,
-                    &mut state_cache,
-                    warp_idx,
-                    lane0 as u32,
-                    live,
-                    self.in_buf,
-                    self.in_layout,
-                    self.n_elements,
-                    total_elems,
-                    &arrays,
-                    &mut elems,
-                    bdim,
-                    hi,
-                    mask,
-                    &mut acc,
-                );
-                scratch.store_accs(ctx, warp_idx, lane0, live, &acc);
-                lane0 += ws;
-            }
-            self.spec.exec.warp_frames.give(wf);
-        } else {
-            let mut frame = self.spec.exec.frames.take();
-            frame.fit(&comp.elem);
-            for tid in ctx.threads() {
-                let mut acc = self.spec.op.identity();
-                let mut e = lo + tid as usize;
-                while e < hi {
-                    let v = eval_element(
+                    let warp_idx = (lane0 / ws) as u32;
+                    warp_accumulate(
                         ctx,
                         &self.spec,
                         &comp,
-                        &mut frame,
-                        tid,
+                        &mut wf,
+                        promo,
+                        warp_idx,
+                        lane0 as u32,
+                        live,
                         self.in_buf,
                         self.in_layout,
-                        e,
-                        array,
                         self.n_elements,
                         total_elems,
-                        &mut state_cache,
+                        &arrays,
+                        &mut elems,
+                        bdim,
+                        hi,
+                        mask,
+                        &mut acc,
                     );
-                    acc = self.spec.op.apply(acc, v);
-                    ctx.compute(tid, self.spec.compute_per_elem() as u32);
-                    ctx.count_flops(1 + self.spec.pops_per_elem as u64);
-                    e += self.block_dim as usize;
+                    store_accs(ctx, warp_idx, lane0, live, &acc);
+                    lane0 += ws;
                 }
-                ctx.st_shared(SITE_SHARED_ST, tid, tid as usize, acc);
+                self.spec.exec.warp_frames.give(wf);
+            } else {
+                let mut frame = self.spec.exec.frames.take();
+                frame.fit(&comp.elem);
+                for tid in ctx.threads() {
+                    let mut acc = self.spec.op.identity();
+                    let mut e = lo + tid as usize;
+                    while e < hi {
+                        let v = eval_element(
+                            ctx,
+                            &self.spec,
+                            &comp,
+                            &mut frame,
+                            tid,
+                            self.in_buf,
+                            self.in_layout,
+                            e,
+                            array,
+                            self.n_elements,
+                            total_elems,
+                            promo,
+                        );
+                        acc = self.spec.op.apply(acc, v);
+                        ctx.compute(tid, comp.compute_per_elem);
+                        ctx.count_flops(1 + self.spec.pops_per_elem as u64);
+                        e += self.block_dim as usize;
+                    }
+                    ctx.st_shared(SITE_SHARED_ST, tid, tid as usize, acc);
+                }
+                self.spec.exec.frames.give(frame);
             }
-            self.spec.exec.frames.give(frame);
-        }
+        });
         ctx.sync();
         shared_tree_reduce(ctx, self.spec.op, 0, self.block_dim as usize);
         ctx.sync();

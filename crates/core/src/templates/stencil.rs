@@ -356,18 +356,17 @@ struct StencilWarpIo<'c, 'd, 'k> {
     pushed: [bool; MAX_LANES],
     /// Reused address row, `warp_size` wide.
     addrs: &'c mut [Option<u64>],
-    vals: &'c mut [f32],
 }
 
 impl WarpIo for StencilWarpIo<'_, '_, '_> {
-    fn pop_row(&mut self, _mask: u64, _out: &mut [Value]) {
+    fn pop_row(&mut self, _mask: u64, _out: &mut [f32]) {
         panic!("pop inside stencil element (rejected at detection)")
     }
 
-    fn peek_row(&mut self, mask: u64, row: &mut [Value]) {
+    fn peek_row(&mut self, mask: u64, offsets: &[i64], out: &mut [f32]) {
         let k = self.kernel;
-        for_lanes(mask, row.len(), |l| {
-            let offset = bytecode::as_i64(row[l]);
+        for_lanes(mask, out.len(), |l| {
+            let offset = offsets[l];
             assert!(
                 offset >= 0 && (offset as usize) < k.rows * k.cols,
                 "stencil peek at {offset} outside the input (guard missing?)"
@@ -385,36 +384,31 @@ impl WarpIo for StencilWarpIo<'_, '_, '_> {
             self.addrs[l] = Some((er as usize * k.ext_w() + ec as usize) as u64);
         });
         self.ctx
-            .ld_shared_row(SITE_TILE_LD, self.warp, self.addrs, self.vals);
-        for_lanes(mask, row.len(), |l| row[l] = Value::F32(self.vals[l]));
+            .ld_shared_row(SITE_TILE_LD, self.warp, self.addrs, out);
         self.addrs.fill(None);
     }
 
-    fn push_row(&mut self, mask: u64, vals: &[Value]) {
+    fn push_row(&mut self, mask: u64, vals: &[f32]) {
         let k = self.kernel;
         for_lanes(mask, vals.len(), |l| {
             assert!(!self.pushed[l], "stencil element pushed twice");
             self.pushed[l] = true;
             self.addrs[l] = Some(self.globals[l] as u64);
-            self.vals[l] = bytecode::as_f32(vals[l]);
         });
         self.ctx
-            .st_global_row(SITE_PUSH, self.warp, k.out_buf, self.addrs, self.vals);
+            .st_global_row(SITE_PUSH, self.warp, k.out_buf, self.addrs, vals);
         self.addrs.fill(None);
     }
 
-    fn state_load_row(&mut self, id: u16, array: &str, mask: u64, row: &mut [Value]) {
+    fn state_load_row(&mut self, id: u16, array: &str, mask: u64, idx: &[i64], out: &mut [f32]) {
         let (slot, buf) = self.kernel.state_ref(id, array);
-        for_lanes(mask, row.len(), |l| {
-            self.addrs[l] = Some(bytecode::as_i64(row[l]) as u64);
-        });
+        for_lanes(mask, out.len(), |l| self.addrs[l] = Some(idx[l] as u64));
         self.ctx
-            .ld_global_row(SITE_STATE + slot, self.warp, buf, self.addrs, self.vals);
-        for_lanes(mask, row.len(), |l| row[l] = Value::F32(self.vals[l]));
+            .ld_global_row(SITE_STATE + slot, self.warp, buf, self.addrs, out);
         self.addrs.fill(None);
     }
 
-    fn state_store_row(&mut self, _: u16, _: &str, _: u64, _: &[Value], _: &[Value]) {
+    fn state_store_row(&mut self, _: u16, _: &str, _: u64, _: &[i64], _: &[f32]) {
         panic!("state store inside stencil element")
     }
 }
@@ -538,7 +532,6 @@ impl StencilKernel {
         let mut wf = self.warp_frames.take();
         wf.fit(&self.program, width);
         let mut addrs = vec![None; ws];
-        let mut vals = vec![0.0f32; ws];
         let mut e = 0usize;
         while e < elems {
             let mut lane0 = 0usize;
@@ -559,9 +552,7 @@ impl StencilKernel {
                 if mask != 0 {
                     wf.reset(&self.proto);
                     if let Some(slot) = self.loop_slot {
-                        for_lanes(mask, live, |l| {
-                            wf.set_lane(slot, l, Value::I64(globals[l] as i64));
-                        });
+                        wf.set_row(slot, mask, |l| Value::I64(globals[l] as i64));
                     }
                     let mut io = StencilWarpIo {
                         ctx,
@@ -572,7 +563,6 @@ impl StencilKernel {
                         globals,
                         pushed: [false; MAX_LANES],
                         addrs: &mut addrs,
-                        vals: &mut vals,
                     };
                     warp::eval(&self.program, &mut wf, mask, &mut io);
                     for_lanes(mask, live, |l| {

@@ -6,10 +6,16 @@
 //! it: a warp fetches one instruction and applies it to 32 lanes in
 //! lockstep. This module reproduces that shape in software:
 //!
-//! * **SoA warp frames.** A [`WarpFrame`] holds one *row* per register
-//!   slot and per operand-stack depth — `lanes` consecutive [`Value`]s,
-//!   lane-indexed — so each opcode executes once and loops over a
-//!   resident-lane bitmask. The operand stack is a preallocated slab
+//! * **Typed SoA warp frames.** A [`WarpFrame`] holds one *row* per
+//!   register slot and per operand-stack depth — `lanes` consecutive
+//!   lane values — so each opcode executes once and loops over the
+//!   lanes. Every row carries one [`RowTy`]: `F32`, `I64` and `Bool`
+//!   rows keep their lanes untagged in a slab of that primitive type,
+//!   so an opcode matches the row types once and then runs a tight
+//!   primitive loop. Only `Mixed` rows (lanes of differing variants,
+//!   which arise from divergent stores or a `select` over differently
+//!   typed arms) keep tagged [`Value`]s and take the per-lane
+//!   `bin`/`call` path. The operand stack is a preallocated slab
 //!   (`max_stack × lanes`); pushes and pops are pointer bumps, never
 //!   `Vec` traffic.
 //!
@@ -26,16 +32,20 @@
 //!   shared SoA stack serves all fragments; the scheduler asserts the
 //!   stack is empty at every suspend and merge point.
 //!
-//! * **Masked lane loops.** An opcode only ever evaluates *active*
-//!   lanes: inactive lanes may hold garbage whose evaluation could fault
+//! * **Masked side effects.** Only *active* lanes ever fault or touch
+//!   I/O: inactive lanes may hold garbage whose evaluation could fault
 //!   (integer division by zero, boolean coercion of a float), exactly as
-//!   inactive hardware lanes are predicated off. A full-mask fast path
-//!   iterates `0..lanes` without bit scanning.
+//!   inactive hardware lanes are predicated off. Typed arithmetic that
+//!   cannot fault runs over every lane of the row (dead lanes compute
+//!   garbage nobody reads); slot writes, faulting operators and I/O are
+//!   masked.
 //!
 //! Per-lane semantics are *identical* to the scalar evaluator — wrapping
-//! `i64` arithmetic, non-short-circuit `&&`/`||`, variant-preserving
-//! `select` — because both paths share the same `bin`/`call` kernels.
-//! Each lane executes its own control path in program order, so the
+//! `i64` arithmetic, `i64`→`f32` promotion of mixed numeric operands,
+//! non-short-circuit `&&`/`||`, variant-preserving `select` — because
+//! the typed loops apply the same primitive expressions `bin`/`call`
+//! apply, and anything else falls back to those shared kernels. Each
+//! lane executes its own control path in program order, so the
 //! per-thread access sequences observed by `gpu_sim::accounting` are
 //! unchanged; only cross-lane interleaving differs, which the streaming
 //! engine's counters are invariant to. The scalar interpreter and the
@@ -46,7 +56,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use streamir::ir::BinOp;
+use streamir::ir::{BinOp, Intrinsic};
 use streamir::value::Value;
 
 use crate::bytecode::{as_f32, as_i64, bin, call, Op, Program};
@@ -86,38 +96,130 @@ pub fn for_lanes(mask: u64, lanes: usize, mut f: impl FnMut(usize)) {
 /// [`crate::exec_ir::IrIo`]. Each method serves one opcode for every set
 /// lane of `mask` at once, letting implementations batch whole lane-rows
 /// into `gpu_sim` (one accounting call per warp instruction instead of
-/// one per lane). Lane indices are warp-relative; implementations map
-/// them to threads/units themselves.
+/// one per lane). Rows are typed and `lanes` wide: stream words and
+/// state values are `f32`, peek offsets and state indices `i64` (the
+/// evaluator applies the scalar path's coercions before the call).
+/// Lane indices are warp-relative; implementations map them to
+/// threads/units themselves. Lanes outside `mask` must be left alone.
 pub trait WarpIo {
-    /// One `pop()` per set lane; write `Value::F32` results into
-    /// `out[lane]`.
-    fn pop_row(&mut self, mask: u64, out: &mut [Value]);
-    /// In place: `row[lane]` holds the peek offset (integral) on entry
-    /// and must hold the peeked `Value::F32` on exit.
-    fn peek_row(&mut self, mask: u64, row: &mut [Value]);
-    /// One `push(v)` per set lane, `vals[lane]` being the value.
-    fn push_row(&mut self, mask: u64, vals: &[Value]);
-    /// In place: `row[lane]` holds the state index on entry, the loaded
-    /// `Value::F32` on exit.
-    fn state_load_row(&mut self, id: u16, array: &str, mask: u64, row: &mut [Value]);
-    /// One state store per set lane (`idx[lane]`, `vals[lane]`).
-    fn state_store_row(&mut self, id: u16, array: &str, mask: u64, idx: &[Value], vals: &[Value]);
+    /// One `pop()` per set lane, into `out[lane]`.
+    fn pop_row(&mut self, mask: u64, out: &mut [f32]);
+    /// One `peek(offsets[lane])` per set lane, into `out[lane]`.
+    fn peek_row(&mut self, mask: u64, offsets: &[i64], out: &mut [f32]);
+    /// One `push(vals[lane])` per set lane.
+    fn push_row(&mut self, mask: u64, vals: &[f32]);
+    /// One load of `array[idx[lane]]` per set lane, into `out[lane]`.
+    fn state_load_row(&mut self, id: u16, array: &str, mask: u64, idx: &[i64], out: &mut [f32]);
+    /// One store `array[idx[lane]] = vals[lane]` per set lane.
+    fn state_store_row(&mut self, id: u16, array: &str, mask: u64, idx: &[i64], vals: &[f32]);
 }
 
-/// A reusable warp-wide evaluation frame: SoA slot rows plus an SoA
-/// operand-stack slab, both `lanes` values wide. Obtained from a
-/// [`WarpFramePool`]; reset per warp of firings by broadcasting the
-/// launch's bound slot prototype across every lane.
+/// The variant held by the lanes of one [`WarpFrame`] row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RowTy {
+    /// Every lane is a `Value::F32`, stored untagged.
+    #[default]
+    F32,
+    /// Every lane is a `Value::I64`, stored untagged.
+    I64,
+    /// Every lane is a `Value::Bool`, stored untagged.
+    Bool,
+    /// Lanes differ; each keeps its tagged [`Value`].
+    Mixed,
+}
+
+impl RowTy {
+    #[inline]
+    fn of(v: Value) -> RowTy {
+        match v {
+            Value::F32(_) => RowTy::F32,
+            Value::I64(_) => RowTy::I64,
+            Value::Bool(_) => RowTy::Bool,
+        }
+    }
+}
+
+/// A reusable warp-wide evaluation frame: typed SoA rows for the slots
+/// (rows `0..n_slots`) followed by the operand stack, all `lanes` wide.
+/// Obtained from a [`WarpFramePool`]; reset per warp of firings by
+/// broadcasting the launch's bound slot prototype across every lane.
+///
+/// Row `r` occupies lanes `r * lanes..(r + 1) * lanes` of the slab its
+/// [`RowTy`] selects; that row's lanes in the other slabs are dead.
+/// Lanes that are not resident in the current evaluation (outside its
+/// initial mask) are dead in every row.
 #[derive(Debug, Default)]
 pub struct WarpFrame {
     lanes: usize,
     n_slots: usize,
-    /// Slot-major rows: `slots[slot * lanes + lane]`.
-    slots: Vec<Value>,
-    /// Depth-major rows: `stack[depth * lanes + lane]`.
-    stack: Vec<Value>,
+    ty: Vec<RowTy>,
+    f: Vec<f32>,
+    i: Vec<i64>,
+    b: Vec<bool>,
+    v: Vec<Value>,
     /// Operand-stack depth in rows.
     sp: usize,
+}
+
+/// `s[dst + l] = s[src + l]` for the set lanes of `mask`, or for every
+/// lane when `all`.
+#[inline]
+fn copy_lanes<T: Copy>(s: &mut [T], dst: usize, src: usize, lanes: usize, mask: u64, all: bool) {
+    if all {
+        s.copy_within(src..src + lanes, dst);
+    } else {
+        for_lanes(mask, lanes, |l| s[dst + l] = s[src + l]);
+    }
+}
+
+/// `x[l] = f(x[l])` for every lane.
+#[inline(always)]
+fn map_lanes<T: Copy>(x: &mut [T], f: impl Fn(T) -> T) {
+    for x in x.iter_mut() {
+        *x = f(*x);
+    }
+}
+
+/// `x[l] = f(x[l], y[l])` for every lane.
+#[inline(always)]
+fn zip_lanes<T: Copy>(x: &mut [T], y: &[T], f: impl Fn(T, T) -> T) {
+    for (x, y) in x.iter_mut().zip(y) {
+        *x = f(*x, *y);
+    }
+}
+
+/// `out[l] = x[l] op y[l]` for every lane, `op` a comparison.
+#[inline(always)]
+fn compare<T: Copy + PartialOrd>(op: BinOp, x: &[T], y: &[T], out: &mut [bool]) {
+    macro_rules! cmp {
+        ($w:expr) => {
+            for ((o, x), y) in out.iter_mut().zip(x).zip(y) {
+                *o = $w(x, y);
+            }
+        };
+    }
+    match op {
+        BinOp::Lt => cmp!(T::lt),
+        BinOp::Le => cmp!(T::le),
+        BinOp::Gt => cmp!(T::gt),
+        BinOp::Ge => cmp!(T::ge),
+        BinOp::Eq => cmp!(T::eq),
+        BinOp::Ne => cmp!(T::ne),
+        _ => unreachable!("{op:?} is not a comparison"),
+    }
+}
+
+/// `s[dst + l] = if cond bit l { s[x + l] } else { s[y + l] }` for every
+/// lane.
+#[inline]
+fn select_lanes<T: Copy>(s: &mut [T], dst: usize, x: usize, y: usize, lanes: usize, cond: u64) {
+    for l in 0..lanes {
+        s[dst + l] = if cond >> l & 1 != 0 {
+            s[x + l]
+        } else {
+            s[y + l]
+        };
+    }
 }
 
 impl WarpFrame {
@@ -127,10 +229,17 @@ impl WarpFrame {
         assert!(0 < lanes && lanes <= MAX_LANES, "warp width {lanes}");
         self.lanes = lanes;
         self.n_slots = prog.n_slots();
-        self.slots.clear();
-        self.slots.resize(prog.n_slots() * lanes, Value::F32(0.0));
-        self.stack.clear();
-        self.stack.resize(prog.max_stack() * lanes, Value::F32(0.0));
+        let rows = prog.n_slots() + prog.max_stack();
+        self.ty.clear();
+        self.ty.resize(rows, RowTy::F32);
+        self.f.clear();
+        self.f.resize(rows * lanes, 0.0);
+        self.i.clear();
+        self.i.resize(rows * lanes, 0);
+        self.b.clear();
+        self.b.resize(rows * lanes, false);
+        self.v.clear();
+        self.v.resize(rows * lanes, Value::F32(0.0));
         self.sp = 0;
     }
 
@@ -138,8 +247,15 @@ impl WarpFrame {
     /// of `proto`, the operand stack empties.
     pub fn reset(&mut self, proto: &[Value]) {
         debug_assert_eq!(proto.len(), self.n_slots, "fit() before reset()");
+        let lanes = self.lanes;
         for (s, v) in proto.iter().enumerate() {
-            self.slots[s * self.lanes..(s + 1) * self.lanes].fill(*v);
+            let rg = s * lanes..(s + 1) * lanes;
+            self.ty[s] = RowTy::of(*v);
+            match *v {
+                Value::F32(x) => self.f[rg].fill(x),
+                Value::I64(x) => self.i[rg].fill(x),
+                Value::Bool(x) => self.b[rg].fill(x),
+            }
         }
         self.sp = 0;
     }
@@ -150,56 +266,335 @@ impl WarpFrame {
         self.lanes
     }
 
-    /// Write one lane of a preset slot (loop variable, accumulator).
-    #[inline]
-    pub fn set_lane(&mut self, slot: u16, lane: usize, v: Value) {
-        self.slots[slot as usize * self.lanes + lane] = v;
+    /// Preset one slot row (loop variable, accumulator): lane `l` becomes
+    /// `val(l)` for every set lane of `mask`. Lanes outside `mask` are
+    /// left unspecified, so evaluate with masks inside `mask` only.
+    pub fn set_row(&mut self, slot: u16, mask: u64, mut val: impl FnMut(usize) -> Value) {
+        let mut vals = [Value::F32(0.0); MAX_LANES];
+        for_lanes(mask, self.lanes, |l| vals[l] = val(l));
+        self.put(slot as usize, mask, &vals);
     }
 
     /// Read one lane of a slot back.
     #[inline]
     pub fn get_lane(&self, slot: u16, lane: usize) -> Value {
-        self.slots[slot as usize * self.lanes + lane]
+        self.get(slot as usize, lane)
     }
 
-    /// Push a fresh stack row and return it for writing.
     #[inline]
-    fn push_row(&mut self) -> &mut [Value] {
-        let base = self.sp * self.lanes;
+    fn get(&self, r: usize, l: usize) -> Value {
+        let k = r * self.lanes + l;
+        match self.ty[r] {
+            RowTy::F32 => Value::F32(self.f[k]),
+            RowTy::I64 => Value::I64(self.i[k]),
+            RowTy::Bool => Value::Bool(self.b[k]),
+            RowTy::Mixed => self.v[k],
+        }
+    }
+
+    /// Re-store row `r` as tagged values (every lane keeps its value).
+    fn make_mixed(&mut self, r: usize) {
+        if self.ty[r] != RowTy::Mixed {
+            for l in 0..self.lanes {
+                self.v[r * self.lanes + l] = self.get(r, l);
+            }
+            self.ty[r] = RowTy::Mixed;
+        }
+    }
+
+    /// Write `vals[l]` into row `r` for the set lanes of `mask`, typing
+    /// the row by their common variant (`Mixed` if they differ). Lanes
+    /// outside `mask` become dead.
+    fn put(&mut self, r: usize, mask: u64, vals: &[Value; MAX_LANES]) {
+        if mask == 0 {
+            return;
+        }
+        let t = RowTy::of(vals[mask.trailing_zeros() as usize]);
+        let mut uniform = true;
+        for_lanes(mask, self.lanes, |l| uniform &= RowTy::of(vals[l]) == t);
+        let base = r * self.lanes;
+        let t = if uniform { t } else { RowTy::Mixed };
+        self.ty[r] = t;
+        for_lanes(mask, self.lanes, |l| match (t, vals[l]) {
+            (RowTy::F32, Value::F32(x)) => self.f[base + l] = x,
+            (RowTy::I64, Value::I64(x)) => self.i[base + l] = x,
+            (RowTy::Bool, Value::Bool(x)) => self.b[base + l] = x,
+            (_, v) => self.v[base + l] = v,
+        });
+    }
+
+    /// Write `vals[l]` (an `I64`) into slot row `r` for the set lanes of
+    /// `mask`, keeping every other lane. `covering` says the other lanes
+    /// are dead, so the row may simply become `I64`.
+    fn put_i64(&mut self, r: usize, mask: u64, covering: bool, vals: &[i64; MAX_LANES]) {
+        let base = r * self.lanes;
+        if covering || self.ty[r] == RowTy::I64 {
+            self.ty[r] = RowTy::I64;
+            for_lanes(mask, self.lanes, |l| self.i[base + l] = vals[l]);
+        } else {
+            self.make_mixed(r);
+            for_lanes(mask, self.lanes, |l| self.v[base + l] = Value::I64(vals[l]));
+        }
+    }
+
+    /// Copy row `src` into row `dst` on the set lanes of `mask`, keeping
+    /// `dst`'s other lanes unless `covering` says they are dead.
+    fn copy_row(&mut self, dst: usize, src: usize, mask: u64, covering: bool) {
+        let lanes = self.lanes;
+        let t = self.ty[src];
+        if !covering && self.ty[dst] != t {
+            self.make_mixed(dst);
+            for_lanes(mask, lanes, |l| self.v[dst * lanes + l] = self.get(src, l));
+            return;
+        }
+        self.ty[dst] = t;
+        let (d, s) = (dst * lanes, src * lanes);
+        match t {
+            RowTy::F32 => copy_lanes(&mut self.f, d, s, lanes, mask, covering),
+            RowTy::I64 => copy_lanes(&mut self.i, d, s, lanes, mask, covering),
+            RowTy::Bool => copy_lanes(&mut self.b, d, s, lanes, mask, covering),
+            RowTy::Mixed => copy_lanes(&mut self.v, d, s, lanes, mask, covering),
+        }
+    }
+
+    /// Row `r`'s active lanes as `i64` (`as_i64`: floats truncate,
+    /// booleans fault). Typed rows convert every lane.
+    fn ints(&self, r: usize, mask: u64, out: &mut [i64; MAX_LANES]) {
+        let (lanes, base) = (self.lanes, r * self.lanes);
+        match self.ty[r] {
+            RowTy::I64 => out[..lanes].copy_from_slice(&self.i[base..base + lanes]),
+            RowTy::F32 => {
+                for (o, x) in out.iter_mut().zip(&self.f[base..base + lanes]) {
+                    *o = *x as i64;
+                }
+            }
+            RowTy::Bool | RowTy::Mixed => {
+                for_lanes(mask, lanes, |l| out[l] = as_i64(self.get(r, l)))
+            }
+        }
+    }
+
+    /// Row `r`'s active lanes as `f32` (`as_f32`: integers convert,
+    /// booleans fault). Typed rows convert every lane.
+    fn floats(&self, r: usize, mask: u64, out: &mut [f32]) {
+        let (lanes, base) = (self.lanes, r * self.lanes);
+        match self.ty[r] {
+            RowTy::F32 => out[..lanes].copy_from_slice(&self.f[base..base + lanes]),
+            RowTy::I64 => {
+                for (o, x) in out.iter_mut().zip(&self.i[base..base + lanes]) {
+                    *o = *x as f32;
+                }
+            }
+            RowTy::Bool | RowTy::Mixed => {
+                for_lanes(mask, lanes, |l| out[l] = as_f32(self.get(r, l)))
+            }
+        }
+    }
+
+    /// Bitmask of the active lanes of row `r` that are truthy
+    /// (`Value::as_bool`).
+    fn truths(&self, r: usize, mask: u64) -> u64 {
+        let (lanes, base) = (self.lanes, r * self.lanes);
+        let mut bits = 0u64;
+        match self.ty[r] {
+            RowTy::F32 => {
+                for (l, x) in self.f[base..base + lanes].iter().enumerate() {
+                    bits |= ((*x != 0.0) as u64) << l;
+                }
+            }
+            RowTy::I64 => {
+                for (l, x) in self.i[base..base + lanes].iter().enumerate() {
+                    bits |= ((*x != 0) as u64) << l;
+                }
+            }
+            RowTy::Bool => {
+                for (l, x) in self.b[base..base + lanes].iter().enumerate() {
+                    bits |= (*x as u64) << l;
+                }
+            }
+            RowTy::Mixed => for_lanes(mask, lanes, |l| {
+                bits |= (self.get(r, l).as_bool() as u64) << l
+            }),
+        }
+        bits & mask
+    }
+
+    /// Make row `r` a `Bool` row holding bit `l` of `bits` in lane `l`.
+    fn set_bools(&mut self, r: usize, bits: u64) {
+        let base = r * self.lanes;
+        self.ty[r] = RowTy::Bool;
+        for (l, x) in self.b[base..base + self.lanes].iter_mut().enumerate() {
+            *x = bits >> l & 1 != 0;
+        }
+    }
+
+    /// Promote an `I64` row to `F32` in place (the `i64 as f32` coercion
+    /// `bin`/`call` apply to numeric operands).
+    fn promote_f32(&mut self, r: usize) {
+        if self.ty[r] == RowTy::I64 {
+            let rg = r * self.lanes..(r + 1) * self.lanes;
+            for (o, x) in self.f[rg.clone()].iter_mut().zip(&self.i[rg]) {
+                *o = *x as f32;
+            }
+            self.ty[r] = RowTy::F32;
+        }
+    }
+
+    /// Push a stack row of type `t` (contents unspecified); returns its
+    /// row index.
+    #[inline]
+    fn push(&mut self, t: RowTy) -> usize {
+        let r = self.n_slots + self.sp;
         self.sp += 1;
-        &mut self.stack[base..base + self.lanes]
+        self.ty[r] = t;
+        r
     }
 
-    /// Pop the top row and return it (still valid until the next push).
+    /// Pop the top stack row; its contents stay valid until the next push.
     #[inline]
-    fn pop_row(&mut self) -> &[Value] {
+    fn pop(&mut self) -> usize {
         self.sp -= 1;
-        let base = self.sp * self.lanes;
-        &self.stack[base..base + self.lanes]
+        self.n_slots + self.sp
     }
 
-    /// The top row, mutable in place.
     #[inline]
-    fn top_row_mut(&mut self) -> &mut [Value] {
-        let base = (self.sp - 1) * self.lanes;
-        &mut self.stack[base..base + self.lanes]
+    fn top(&self) -> usize {
+        self.n_slots + self.sp - 1
     }
 
-    /// The two top rows `(below, top)`, for binary operators.
-    #[inline]
-    fn top2_mut(&mut self) -> (&mut [Value], &mut [Value]) {
-        let mid = (self.sp - 1) * self.lanes;
-        let lo = mid - self.lanes;
-        let (a, b) = self.stack.split_at_mut(mid);
-        (&mut a[lo..], &mut b[..self.lanes])
+    /// `Op::Bin` on stack rows `a` (lhs, receives the result) and `a + 1`.
+    fn bin_rows(&mut self, op: BinOp, mask: u64, a: usize) {
+        let b = a + 1;
+        let lanes = self.lanes;
+        let (ba, bb) = (a * lanes, b * lanes);
+        if matches!(op, BinOp::And | BinOp::Or) {
+            let (x, y) = (self.truths(a, mask), self.truths(b, mask));
+            self.set_bools(a, if op == BinOp::And { x & y } else { x | y });
+            return;
+        }
+        match (self.ty[a], self.ty[b]) {
+            _ if matches!(op, BinOp::Add | BinOp::Mul) && (self.has_nan(a) || self.has_nan(b)) => {
+                self.bin_lanes(op, mask, a)
+            }
+            (RowTy::I64, RowTy::I64) => {
+                let (lo, hi) = self.i.split_at_mut(bb);
+                let (x, y) = (&mut lo[ba..ba + lanes], &hi[..lanes]);
+                match op {
+                    BinOp::Add => zip_lanes(x, y, i64::wrapping_add),
+                    BinOp::Sub => zip_lanes(x, y, i64::wrapping_sub),
+                    BinOp::Mul => zip_lanes(x, y, i64::wrapping_mul),
+                    BinOp::Div => for_lanes(mask, lanes, |l| {
+                        assert!(y[l] != 0, "validated body: integer division by zero");
+                        x[l] = x[l].wrapping_div(y[l]);
+                    }),
+                    BinOp::Rem => for_lanes(mask, lanes, |l| {
+                        assert!(y[l] != 0, "validated body: integer remainder by zero");
+                        x[l] = x[l].wrapping_rem(y[l]);
+                    }),
+                    _ => {
+                        compare(op, x, y, &mut self.b[ba..ba + lanes]);
+                        self.ty[a] = RowTy::Bool;
+                    }
+                }
+            }
+            (RowTy::F32 | RowTy::I64, RowTy::F32 | RowTy::I64) => {
+                self.promote_f32(a);
+                self.promote_f32(b);
+                let (lo, hi) = self.f.split_at_mut(bb);
+                let (x, y) = (&mut lo[ba..ba + lanes], &hi[..lanes]);
+                match op {
+                    BinOp::Add => zip_lanes(x, y, |x, y| x + y),
+                    BinOp::Sub => zip_lanes(x, y, |x, y| x - y),
+                    BinOp::Mul => zip_lanes(x, y, |x, y| x * y),
+                    BinOp::Div => zip_lanes(x, y, |x, y| x / y),
+                    BinOp::Rem => zip_lanes(x, y, |x, y| x % y),
+                    _ => {
+                        compare(op, x, y, &mut self.b[ba..ba + lanes]);
+                        self.ty[a] = RowTy::Bool;
+                    }
+                }
+            }
+            _ => self.bin_lanes(op, mask, a),
+        }
     }
 
-    /// Take the single result row of an expression program: asserts the
-    /// stack holds exactly one row and empties it.
-    pub fn take_value_row(&mut self) -> &[Value] {
-        assert_eq!(self.sp, 1, "expression leaves one value row");
-        self.sp = 0;
-        &self.stack[..self.lanes]
+    /// `Op::Bin` lane by lane through the scalar kernel.
+    fn bin_lanes(&mut self, op: BinOp, mask: u64, a: usize) {
+        let mut out = [Value::F32(0.0); MAX_LANES];
+        for_lanes(mask, self.lanes, |l| {
+            out[l] = bin(op, self.get(a, l), self.get(a + 1, l))
+        });
+        self.put(a, mask, &out);
+    }
+
+    /// Whether row `r` is an `F32` row with a NaN in any lane.
+    ///
+    /// Which NaN payload `+` or `*` returns for two NaN operands depends
+    /// on the operand order the compiler picks, and vectorized lane loops
+    /// pick it differently from scalar code. Rows holding a NaN therefore
+    /// take the per-lane path, which keeps the scalar evaluator's order
+    /// and so its bits (`nan_payloads_match_scalar` pins this, `max` and
+    /// `min` included).
+    fn has_nan(&self, r: usize) -> bool {
+        self.ty[r] == RowTy::F32
+            && self.f[r * self.lanes..(r + 1) * self.lanes]
+                .iter()
+                .any(|x| x.is_nan())
+    }
+
+    /// `Op::Call` on the `intr.arity()` stack rows starting at `r`, which
+    /// receives the result.
+    fn call_rows(&mut self, intr: Intrinsic, mask: u64, r: usize) {
+        let n = intr.arity();
+        let lanes = self.lanes;
+        let base = r * lanes;
+        if intr == Intrinsic::Select {
+            let cond = self.truths(r, mask);
+            let t = self.ty[r + 1];
+            if t == self.ty[r + 2] && t != RowTy::Mixed {
+                let (x, y) = (base + lanes, base + 2 * lanes);
+                self.ty[r] = t;
+                match t {
+                    RowTy::F32 => select_lanes(&mut self.f, base, x, y, lanes, cond),
+                    RowTy::I64 => select_lanes(&mut self.i, base, x, y, lanes, cond),
+                    RowTy::Bool => select_lanes(&mut self.b, base, x, y, lanes, cond),
+                    RowTy::Mixed => unreachable!("checked above"),
+                }
+                return;
+            }
+        } else if (r..r + n).all(|a| matches!(self.ty[a], RowTy::F32 | RowTy::I64)) {
+            for a in r..r + n {
+                self.promote_f32(a);
+            }
+            let (lo, hi) = self.f.split_at_mut(base + lanes);
+            let (x, y) = (&mut lo[base..], &hi[..lanes.min(hi.len())]);
+            match intr {
+                Intrinsic::Sqrt => map_lanes(x, f32::sqrt),
+                Intrinsic::Exp => map_lanes(x, f32::exp),
+                Intrinsic::Log => map_lanes(x, f32::ln),
+                Intrinsic::Abs => map_lanes(x, f32::abs),
+                Intrinsic::Sin => map_lanes(x, f32::sin),
+                Intrinsic::Cos => map_lanes(x, f32::cos),
+                Intrinsic::Floor => map_lanes(x, f32::floor),
+                Intrinsic::Max => zip_lanes(x, y, f32::max),
+                Intrinsic::Min => zip_lanes(x, y, f32::min),
+                Intrinsic::Pow => zip_lanes(x, y, f32::powf),
+                Intrinsic::Select => unreachable!("handled above"),
+            }
+            return;
+        }
+        // Booleans where numbers are expected (a fault on an active
+        // lane), mixed rows, or a `select` over differently typed arms:
+        // per lane, through the scalar kernel.
+        let mut out = [Value::F32(0.0); MAX_LANES];
+        for_lanes(mask, lanes, |l| {
+            let mut args = [Value::F32(0.0); 3];
+            for (k, a) in args.iter_mut().enumerate().take(n) {
+                *a = self.get(r + k, l);
+            }
+            out[l] = call(intr, &args[..n]);
+        });
+        self.put(r, mask, &out);
     }
 }
 
@@ -261,69 +656,6 @@ impl WarpFramePool {
     }
 }
 
-/// One `Op::Bin` over a whole row: `a[l] = a[l] op b[l]` for active
-/// lanes.
-///
-/// The generic path calls [`bin`] per lane, which re-dispatches the
-/// operator *and* both operand variants on every lane — exactly the
-/// per-firing cost warp batching exists to amortize. Full-mask rows
-/// whose operands are uniformly `f32` (by far the common case in
-/// numeric bodies) instead match the operator once per row and run a
-/// tight untag/compute/retag loop. The arithmetic inside is the same
-/// `f32` expression `bin` evaluates, so results stay per-lane
-/// bit-identical to the scalar evaluator.
-#[inline]
-fn bin_row(op: BinOp, mask: u64, lanes: usize, a: &mut [Value], b: &[Value]) {
-    let (a, b) = (&mut a[..lanes], &b[..lanes]);
-    let uniform_f32 = mask == full_mask(lanes)
-        && a.iter().all(|v| matches!(v, Value::F32(_)))
-        && b.iter().all(|v| matches!(v, Value::F32(_)));
-    if uniform_f32 {
-        #[inline(always)]
-        fn f(v: Value) -> f32 {
-            match v {
-                Value::F32(x) => x,
-                _ => unreachable!("row checked uniform f32"),
-            }
-        }
-        macro_rules! arith {
-            ($w:expr) => {
-                for l in 0..lanes {
-                    a[l] = Value::F32($w(f(a[l]), f(b[l])));
-                }
-            };
-        }
-        macro_rules! cmp {
-            ($w:expr) => {
-                for l in 0..lanes {
-                    a[l] = Value::Bool($w(f(a[l]), f(b[l])));
-                }
-            };
-        }
-        match op {
-            BinOp::Add => arith!(|x, y| x + y),
-            BinOp::Sub => arith!(|x, y| x - y),
-            BinOp::Mul => arith!(|x, y| x * y),
-            BinOp::Div => arith!(|x, y| x / y),
-            BinOp::Rem => arith!(|x: f32, y: f32| x % y),
-            BinOp::Lt => cmp!(|x, y| x < y),
-            BinOp::Le => cmp!(|x, y| x <= y),
-            BinOp::Gt => cmp!(|x, y| x > y),
-            BinOp::Ge => cmp!(|x, y| x >= y),
-            BinOp::Eq => cmp!(|x, y| x == y),
-            BinOp::Ne => cmp!(|x, y| x != y),
-            // Boolean coercion of floats is `bin`'s business.
-            BinOp::And | BinOp::Or => {
-                for l in 0..lanes {
-                    a[l] = bin(op, a[l], b[l]);
-                }
-            }
-        }
-        return;
-    }
-    for_lanes(mask, lanes, |l| a[l] = bin(op, a[l], b[l]));
-}
-
 /// A suspended divergent fragment: lanes in `mask` are waiting to resume
 /// at `pc`.
 #[derive(Debug, Clone, Copy)]
@@ -363,15 +695,17 @@ fn min_pc(pending: &[Frag]) -> u32 {
     pending.iter().map(|f| f.pc).min().unwrap_or(u32::MAX)
 }
 
-/// Execute a compiled body warp-wide: one dispatch per opcode, a masked
-/// lane loop per dispatch. `init_mask` selects the resident lanes (a
-/// ragged final warp simply passes fewer bits). The frame must have been
-/// [`WarpFrame::fit`] for `prog` and [`WarpFrame::reset`] with the bound
-/// prototype, preset rows seeded per lane.
+/// Execute a compiled body warp-wide: one dispatch per opcode, one row
+/// type match per dispatch, then a lane loop. `init_mask` selects the
+/// resident lanes (a ragged final warp simply passes fewer bits). The
+/// frame must have been [`WarpFrame::fit`] for `prog` and
+/// [`WarpFrame::reset`] with the bound prototype, preset rows seeded with
+/// [`WarpFrame::set_row`].
 ///
 /// Infallible like the scalar evaluator; data-dependent faults panic on
 /// the faulting lane just as they would scalar (inactive lanes are never
-/// evaluated, so predicated-off garbage cannot fault).
+/// evaluated by a faulting operation, so predicated-off garbage cannot
+/// fault).
 pub fn eval(prog: &Program, wf: &mut WarpFrame, init_mask: u64, io: &mut dyn WarpIo) {
     let ops = prog.ops();
     let n_ops = ops.len() as u32;
@@ -381,6 +715,9 @@ pub fn eval(prog: &Program, wf: &mut WarpFrame, init_mask: u64, io: &mut dyn War
     if init_mask == 0 {
         return;
     }
+    // A slot write under the resident mask covers every live lane, so
+    // the row may change type wholesale.
+    let resident = init_mask;
     let mut pc: u32 = 0;
     let mut mask = init_mask;
     // Suspended fragments, at most one per structured-control-flow
@@ -389,6 +726,9 @@ pub fn eval(prog: &Program, wf: &mut WarpFrame, init_mask: u64, io: &mut dyn War
     // min pc over `pending`: the next reconvergence point. One compare
     // per straight-line op.
     let mut next_wait: u32 = u32::MAX;
+    let mut ints = [0i64; MAX_LANES];
+    let mut ints2 = [0i64; MAX_LANES];
+    let mut floats = [0f32; MAX_LANES];
     loop {
         // Fragment scheduling: the running fragment must hold the
         // minimum pc (else divergent partners could starve), and all
@@ -430,84 +770,104 @@ pub fn eval(prog: &Program, wf: &mut WarpFrame, init_mask: u64, io: &mut dyn War
             // Constants broadcast to the whole row: writing inactive
             // lanes is harmless (their values are never read) and a
             // `fill` beats a masked loop.
-            Op::ConstF(x) => wf.push_row().fill(Value::F32(x)),
-            Op::ConstI(i) => wf.push_row().fill(Value::I64(i)),
-            Op::ConstB(b) => wf.push_row().fill(Value::Bool(b)),
+            Op::ConstF(x) => {
+                let r = wf.push(RowTy::F32);
+                wf.f[r * lanes..(r + 1) * lanes].fill(x);
+            }
+            Op::ConstI(x) => {
+                let r = wf.push(RowTy::I64);
+                wf.i[r * lanes..(r + 1) * lanes].fill(x);
+            }
+            Op::ConstB(x) => {
+                let r = wf.push(RowTy::Bool);
+                wf.b[r * lanes..(r + 1) * lanes].fill(x);
+            }
             Op::Load(s) => {
-                let base = s as usize * lanes;
-                let sp = wf.sp;
-                wf.sp += 1;
-                let (slots, stack) = (&wf.slots, &mut wf.stack);
-                stack[sp * lanes..(sp + 1) * lanes].copy_from_slice(&slots[base..base + lanes]);
+                let r = wf.push(RowTy::F32);
+                wf.copy_row(r, s as usize, mask, true);
             }
+            // Masked: inactive lanes keep their slot values across
+            // divergent branches.
             Op::Store(s) => {
-                // Masked: inactive lanes keep their slot values across
-                // divergent branches (full mask is a straight row copy).
-                wf.sp -= 1;
-                let sp = wf.sp;
-                let base = s as usize * lanes;
-                let (slots, stack) = (&mut wf.slots, &wf.stack);
-                if mask == full_mask(lanes) {
-                    slots[base..base + lanes].copy_from_slice(&stack[sp * lanes..(sp + 1) * lanes]);
-                } else {
-                    for_lanes(mask, lanes, |l| slots[base + l] = stack[sp * lanes + l]);
-                }
+                let r = wf.pop();
+                wf.copy_row(s as usize, r, mask, mask == resident);
             }
-            Op::Pop => io.pop_row(mask, wf.push_row()),
-            Op::Peek => io.peek_row(mask, wf.top_row_mut()),
+            Op::Pop => {
+                let r = wf.push(RowTy::F32);
+                io.pop_row(mask, &mut wf.f[r * lanes..(r + 1) * lanes]);
+            }
+            Op::Peek => {
+                let r = wf.top();
+                wf.ints(r, mask, &mut ints);
+                wf.ty[r] = RowTy::F32;
+                io.peek_row(mask, &ints[..lanes], &mut wf.f[r * lanes..(r + 1) * lanes]);
+            }
             Op::StateLoad(id) => {
-                io.state_load_row(id, &prog.state_names()[id as usize], mask, wf.top_row_mut());
+                let r = wf.top();
+                wf.ints(r, mask, &mut ints);
+                wf.ty[r] = RowTy::F32;
+                let out = &mut wf.f[r * lanes..(r + 1) * lanes];
+                io.state_load_row(
+                    id,
+                    &prog.state_names()[id as usize],
+                    mask,
+                    &ints[..lanes],
+                    out,
+                );
             }
             Op::StateStore(id) => {
-                wf.sp -= 2;
-                let base = wf.sp * lanes;
-                let (idx, vals) = wf.stack[base..base + 2 * lanes].split_at(lanes);
-                io.state_store_row(id, &prog.state_names()[id as usize], mask, idx, vals);
+                let rv = wf.pop();
+                wf.floats(rv, mask, &mut floats);
+                let ri = wf.pop();
+                wf.ints(ri, mask, &mut ints);
+                let name = &prog.state_names()[id as usize];
+                io.state_store_row(id, name, mask, &ints[..lanes], &floats[..lanes]);
             }
-            Op::PushOut => io.push_row(mask, wf.pop_row()),
+            Op::PushOut => {
+                let r = wf.pop();
+                wf.floats(r, mask, &mut floats);
+                io.push_row(mask, &floats[..lanes]);
+            }
             Op::Bin(op) => {
-                let (a, b) = wf.top2_mut();
-                bin_row(op, mask, lanes, a, b);
-                wf.sp -= 1;
+                wf.pop();
+                let a = wf.top();
+                wf.bin_rows(op, mask, a);
             }
             Op::Neg => {
-                let row = wf.top_row_mut();
-                for_lanes(mask, lanes, |l| {
-                    row[l] = match row[l] {
-                        Value::I64(i) => Value::I64(i.wrapping_neg()),
-                        other => Value::F32(-as_f32(other)),
-                    };
-                });
+                let r = wf.top();
+                let rg = r * lanes..(r + 1) * lanes;
+                match wf.ty[r] {
+                    RowTy::F32 => map_lanes(&mut wf.f[rg], |x: f32| -x),
+                    RowTy::I64 => map_lanes(&mut wf.i[rg], i64::wrapping_neg),
+                    RowTy::Bool | RowTy::Mixed => {
+                        let mut out = [Value::F32(0.0); MAX_LANES];
+                        for_lanes(mask, lanes, |l| {
+                            out[l] = match wf.get(r, l) {
+                                Value::I64(i) => Value::I64(i.wrapping_neg()),
+                                other => Value::F32(-as_f32(other)),
+                            };
+                        });
+                        wf.put(r, mask, &out);
+                    }
+                }
             }
             Op::Not => {
-                let row = wf.top_row_mut();
-                for_lanes(mask, lanes, |l| row[l] = Value::Bool(!row[l].as_bool()));
+                let r = wf.top();
+                let t = wf.truths(r, mask);
+                wf.set_bools(r, !t);
             }
             Op::Call(intr) => {
-                let n = intr.arity();
-                wf.sp -= n - 1;
-                let base = (wf.sp - 1) * lanes;
-                let rows = &mut wf.stack[base..base + n * lanes];
-                for_lanes(mask, lanes, |l| {
-                    let mut args = [Value::F32(0.0); 3];
-                    for (i, a) in args.iter_mut().enumerate().take(n) {
-                        *a = rows[i * lanes + l];
-                    }
-                    rows[l] = call(intr, &args[..n]);
-                });
+                wf.sp -= intr.arity() - 1;
+                let r = wf.top();
+                wf.call_rows(intr, mask, r);
             }
             Op::Jump(t) => {
                 pc = t;
                 continue;
             }
             Op::JumpIfFalse(t) => {
-                let row = wf.pop_row();
-                let mut false_mask = 0u64;
-                for_lanes(mask, lanes, |l| {
-                    if !row[l].as_bool() {
-                        false_mask |= 1 << l;
-                    }
-                });
+                let r = wf.pop();
+                let false_mask = mask & !wf.truths(r, mask);
                 if false_mask == mask {
                     pc = t;
                     continue;
@@ -520,16 +880,12 @@ pub fn eval(prog: &Program, wf: &mut WarpFrame, init_mask: u64, io: &mut dyn War
                 }
             }
             Op::ForInit { counter, end } => {
-                wf.sp -= 2;
-                let base = wf.sp * lanes;
-                let (cb, eb) = (counter as usize * lanes, end as usize * lanes);
-                let (slots, stack) = (&mut wf.slots, &wf.stack);
-                for_lanes(mask, lanes, |l| {
-                    let hi = stack[base + lanes + l];
-                    let lo = stack[base + l];
-                    slots[cb + l] = Value::I64(as_i64(lo));
-                    slots[eb + l] = Value::I64(as_i64(hi));
-                });
+                let hi = wf.pop();
+                let lo = wf.pop();
+                wf.ints(lo, mask, &mut ints);
+                wf.ints(hi, mask, &mut ints2);
+                wf.put_i64(counter as usize, mask, mask == resident, &ints);
+                wf.put_i64(end as usize, mask, mask == resident, &ints2);
             }
             Op::ForTest {
                 counter,
@@ -537,21 +893,16 @@ pub fn eval(prog: &Program, wf: &mut WarpFrame, init_mask: u64, io: &mut dyn War
                 var,
                 exit,
             } => {
-                let (cb, eb, vb) = (
-                    counter as usize * lanes,
-                    end as usize * lanes,
-                    var as usize * lanes,
-                );
-                let slots = &mut wf.slots;
+                wf.ints(counter as usize, mask, &mut ints);
+                wf.ints(end as usize, mask, &mut ints2);
                 let mut exit_mask = 0u64;
                 for_lanes(mask, lanes, |l| {
-                    let c = as_i64(slots[cb + l]);
-                    if c < as_i64(slots[eb + l]) {
-                        slots[vb + l] = Value::I64(c);
-                    } else {
-                        exit_mask |= 1 << l;
-                    }
+                    exit_mask |= ((ints[l] >= ints2[l]) as u64) << l
                 });
+                let stay = mask & !exit_mask;
+                if stay != 0 {
+                    wf.put_i64(var as usize, stay, stay == resident, &ints);
+                }
                 if exit_mask == mask {
                     pc = exit;
                     continue;
@@ -564,12 +915,9 @@ pub fn eval(prog: &Program, wf: &mut WarpFrame, init_mask: u64, io: &mut dyn War
                 }
             }
             Op::ForStep { counter, head } => {
-                let cb = counter as usize * lanes;
-                let slots = &mut wf.slots;
-                for_lanes(mask, lanes, |l| {
-                    let c = as_i64(slots[cb + l]);
-                    slots[cb + l] = Value::I64(c.wrapping_add(1));
-                });
+                wf.ints(counter as usize, mask, &mut ints);
+                for_lanes(mask, lanes, |l| ints[l] = ints[l].wrapping_add(1));
+                wf.put_i64(counter as usize, mask, mask == resident, &ints);
                 pc = head;
                 continue;
             }
@@ -579,7 +927,8 @@ pub fn eval(prog: &Program, wf: &mut WarpFrame, init_mask: u64, io: &mut dyn War
 }
 
 /// Execute a compiled *expression* warp-wide and write each active
-/// lane's `f32` result into `out[lane]`.
+/// lane's `f32` result into `out[lane]` (other lanes of `out` are
+/// unspecified afterwards).
 pub fn eval_row(
     prog: &Program,
     wf: &mut WarpFrame,
@@ -588,9 +937,9 @@ pub fn eval_row(
     out: &mut [f32],
 ) {
     eval(prog, wf, mask, io);
-    let lanes = wf.lanes;
-    let row = wf.take_value_row();
-    for_lanes(mask, lanes, |l| out[l] = as_f32(row[l]));
+    assert_eq!(wf.sp, 1, "expression leaves one value row");
+    let r = wf.pop();
+    wf.floats(r, mask, out);
 }
 
 /// Host-side warp I/O over plain vectors: the row-granular counterpart of
@@ -614,40 +963,34 @@ pub struct VecWarpIo {
 }
 
 impl WarpIo for VecWarpIo {
-    fn pop_row(&mut self, mask: u64, out: &mut [Value]) {
+    fn pop_row(&mut self, mask: u64, out: &mut [f32]) {
         for_lanes(mask, out.len(), |l| {
-            let v = self.input[self.cursor[l]];
+            out[l] = self.input[self.cursor[l]];
             self.cursor[l] += 1;
-            out[l] = Value::F32(v);
         });
     }
 
-    fn peek_row(&mut self, mask: u64, row: &mut [Value]) {
-        for_lanes(mask, row.len(), |l| {
-            let off = as_i64(row[l]);
-            row[l] = Value::F32(self.input[(self.cursor[l] as i64 + off) as usize]);
+    fn peek_row(&mut self, mask: u64, offsets: &[i64], out: &mut [f32]) {
+        for_lanes(mask, out.len(), |l| {
+            out[l] = self.input[(self.cursor[l] as i64 + offsets[l]) as usize];
         });
     }
 
-    fn push_row(&mut self, mask: u64, vals: &[Value]) {
+    fn push_row(&mut self, mask: u64, vals: &[f32]) {
         for_lanes(mask, vals.len(), |l| {
-            self.output[self.out_pos[l]] = as_f32(vals[l]);
+            self.output[self.out_pos[l]] = vals[l];
             self.out_pos[l] += 1;
         });
     }
 
-    fn state_load_row(&mut self, _id: u16, array: &str, mask: u64, row: &mut [Value]) {
+    fn state_load_row(&mut self, _id: u16, array: &str, mask: u64, idx: &[i64], out: &mut [f32]) {
         let arr = &self.state[array];
-        for_lanes(mask, row.len(), |l| {
-            row[l] = Value::F32(arr[as_i64(row[l]) as usize]);
-        });
+        for_lanes(mask, out.len(), |l| out[l] = arr[idx[l] as usize]);
     }
 
-    fn state_store_row(&mut self, _id: u16, array: &str, mask: u64, idx: &[Value], vals: &[Value]) {
+    fn state_store_row(&mut self, _id: u16, array: &str, mask: u64, idx: &[i64], vals: &[f32]) {
         let arr = self.state.get_mut(array).expect("bound state array");
-        for_lanes(mask, idx.len(), |l| {
-            arr[as_i64(idx[l]) as usize] = as_f32(vals[l]);
-        });
+        for_lanes(mask, idx.len(), |l| arr[idx[l] as usize] = vals[l]);
     }
 }
 
@@ -705,9 +1048,7 @@ mod tests {
         wf.fit(&prog, lanes);
         wf.reset(&proto);
         if let Some(s) = lane_slot {
-            for l in 0..lanes {
-                wf.set_lane(s, l, Value::I64(l as i64));
-            }
+            wf.set_row(s, full_mask(lanes), |l| Value::I64(l as i64));
         }
         eval(&prog, &mut wf, full_mask(lanes), &mut wio);
 
@@ -788,6 +1129,25 @@ mod tests {
     }
 
     #[test]
+    fn nan_payloads_match_scalar() {
+        // `log` of a negative lane yields the default NaN, `abs` of it a
+        // NaN of the other sign; commutative operators over two NaNs must
+        // return the payload the scalar evaluator returns.
+        let body = body_of(
+            r#"pipeline P() {
+                actor N(pop 1, push 8) {
+                    y = log(pop());
+                    z = abs(y);
+                    push(y * z); push(z * y); push(y + z); push(z + y);
+                    push(max(y, z)); push(max(z, y)); push(min(y, z)); push(min(z, y));
+                }
+            }"#,
+        );
+        let inputs: Vec<Vec<f32>> = (0..32).map(|l| vec![l as f32 - 20.0]).collect();
+        run_both(&body, &inputs, 8);
+    }
+
+    #[test]
     fn ragged_final_warp_runs_partial_mask() {
         let body = body_of(
             r#"pipeline P() {
@@ -860,9 +1220,7 @@ mod tests {
         let mut wf = WarpFrame::default();
         wf.fit(&prog, lanes);
         wf.reset(&proto);
-        for l in 0..lanes {
-            wf.set_lane(lane_slot, l, Value::I64(l as i64));
-        }
+        wf.set_row(lane_slot, full_mask(lanes), |l| Value::I64(l as i64));
         eval(&prog, &mut wf, full_mask(lanes), &mut wio);
         for l in 0..lanes {
             assert_eq!(wio.output[l], l as f32 * 2.0 + 1.0);
@@ -882,9 +1240,7 @@ mod tests {
         let mut wf = WarpFrame::default();
         wf.fit(&prog, lanes);
         wf.reset(&proto);
-        for l in 0..lanes {
-            wf.set_lane(slot, l, Value::F32(l as f32 * 2.0));
-        }
+        wf.set_row(slot, full_mask(lanes), |l| Value::F32(l as f32 * 2.0));
         let mut io = VecWarpIo::default();
         let mut out = vec![0.0f32; lanes];
         eval_row(&prog, &mut wf, full_mask(lanes), &mut io, &mut out);

@@ -139,6 +139,14 @@ impl MemRef<'_> {
             MemRef::Shared(m) => m.store(buf, idx, v),
         }
     }
+
+    #[inline]
+    fn len(&self, buf: BufId) -> usize {
+        match self {
+            MemRef::Excl(m) => m.len(buf),
+            MemRef::Shared(m) => m.len(buf),
+        }
+    }
 }
 
 pub struct BlockCtx<'a> {
@@ -217,6 +225,11 @@ impl<'a> BlockCtx<'a> {
     /// Warp width of the device.
     pub fn warp_size(&self) -> u32 {
         self.device.warp_size
+    }
+
+    /// Length of global buffer `buf` in words.
+    pub fn buf_len(&self, buf: BufId) -> usize {
+        self.mem.len(buf)
     }
 
     /// Iterate over the thread indices of this block.

@@ -144,6 +144,12 @@ impl SharedMem<'_> {
         // per the launch invariant.
         unsafe { *ptr.add(idx) = v }
     }
+
+    /// Length of `buf` in words.
+    #[inline]
+    pub(crate) fn len(&self, buf: BufId) -> usize {
+        self.buffers[buf.0].1
+    }
 }
 
 /// Count the global-memory transactions needed to service one warp-wide

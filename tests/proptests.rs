@@ -15,6 +15,7 @@ use adaptic_repro::adaptic::{
 use adaptic_repro::gpu_sim::{DeviceSpec, ExecMode, ExecPolicy};
 use adaptic_repro::streamir::interp::Interpreter;
 use adaptic_repro::streamir::parse::parse_program;
+use adaptic_repro::streamir::value::Value;
 
 /// One random building block for a work body. Every block is valid by
 /// construction: it only reads variables that are definitely assigned
@@ -567,6 +568,291 @@ proptest! {
             prop_assert_eq!(first.host_time_us, r.host_time_us);
             prop_assert_eq!(first.variant_index, r.variant_index);
             prop_assert_eq!(&first.telemetry, &r.telemetry);
+        }
+    }
+}
+
+/// Deterministic reader over proptest-drawn bytes, steering the typed-row
+/// program generator below (0 once exhausted).
+struct Genes<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl Genes<'_> {
+    fn next(&mut self) -> u8 {
+        let b = self.bytes.get(self.at).copied().unwrap_or(0);
+        self.at += 1;
+        b
+    }
+}
+
+/// A random numeric expression over `x` (float), `k` (integer until a
+/// float is stored into it), `p` (a preset that is an integer on even
+/// lanes and a float on odd ones) and `lane` — so rows mix `I64` and
+/// `F32` lanes, and `select` yields mixed variants. Every division is by
+/// a nonzero float literal, so no lane can fault.
+fn typed_num(g: &mut Genes, depth: u32) -> String {
+    let sel = g.next();
+    if depth == 0 || sel.is_multiple_of(4) {
+        return match sel / 4 % 7 {
+            0 => "x".into(),
+            1 => "k".into(),
+            2 => "p".into(),
+            3 => "lane".into(),
+            4 => "3".into(),
+            5 => "0.0".into(),
+            _ => "1.5".into(),
+        };
+    }
+    let d = depth - 1;
+    match sel / 4 % 13 {
+        0 => format!("({} + {})", typed_num(g, d), typed_num(g, d)),
+        1 => format!("({} - {})", typed_num(g, d), typed_num(g, d)),
+        2 => format!("({} * {})", typed_num(g, d), typed_num(g, d)),
+        3 => format!("({} / 4.0)", typed_num(g, d)),
+        4 => format!("({} % 2.5)", typed_num(g, d)),
+        5 => format!("(-{})", typed_num(g, d)),
+        6 => format!("abs({})", typed_num(g, d)),
+        7 => format!("sqrt({})", typed_num(g, d)),
+        8 => format!("log({})", typed_num(g, d)),
+        9 => format!("max({}, {})", typed_num(g, d), typed_num(g, d)),
+        10 => format!("pow({}, 2.0)", typed_num(g, d)),
+        11 => format!("floor({})", typed_num(g, d)),
+        _ => format!(
+            "select({}, {}, {})",
+            typed_bool(g, d),
+            typed_num(g, d),
+            typed_num(g, d)
+        ),
+    }
+}
+
+/// A random boolean expression; `with_b` admits the body's `b` variable.
+fn typed_bool_in(g: &mut Genes, depth: u32, with_b: bool) -> String {
+    let sel = g.next();
+    if depth == 0 || sel.is_multiple_of(3) {
+        return if with_b && sel.is_multiple_of(2) {
+            "b".into()
+        } else {
+            format!("({} < {})", typed_num(g, 0), typed_num(g, 0))
+        };
+    }
+    let d = depth - 1;
+    match sel / 3 % 5 {
+        0 => format!("({} < {})", typed_num(g, d), typed_num(g, d)),
+        1 => format!("({} == {})", typed_num(g, d), typed_num(g, d)),
+        2 => format!(
+            "({} && {})",
+            typed_bool_in(g, d, with_b),
+            typed_bool_in(g, d, with_b)
+        ),
+        3 => format!(
+            "({} || {})",
+            typed_bool_in(g, d, with_b),
+            typed_bool_in(g, d, with_b)
+        ),
+        _ => format!("!{}", typed_bool_in(g, d, with_b)),
+    }
+}
+
+fn typed_bool(g: &mut Genes, depth: u32) -> String {
+    typed_bool_in(g, depth, false)
+}
+
+/// One random statement of a typed-row body: type-changing and
+/// divergent stores, `select` over differently typed arms, and loops
+/// with lane-dependent trip counts, plain or under a divergent branch.
+fn typed_stmt(g: &mut Genes) -> String {
+    match g.next() % 8 {
+        0 => format!("x = {};", typed_num(g, 3)),
+        1 => format!("k = {};", typed_num(g, 2)),
+        2 => format!("b = {};", typed_bool_in(g, 2, true)),
+        3 => format!(
+            "if ({}) {{ x = {}; }} else {{ k = {}; }}",
+            typed_bool_in(g, 2, true),
+            typed_num(g, 2),
+            typed_num(g, 2)
+        ),
+        // `j` keeps its last value after the loop, or its zero
+        // initial value on lanes that ran no iteration.
+        4 => format!(
+            "for j in 0..(lane % 4 + {}) {{ x = x * 0.75 + j; }} x = x + j * 0.5;",
+            g.next() % 3
+        ),
+        5 => "x = select(b, x, k);".into(),
+        6 => "if (b) { for j in 0..(lane % 3) { k = k + j; } }".into(),
+        _ => format!("k = select({}, k, 2.5);", typed_bool_in(g, 1, true)),
+    }
+}
+
+/// Per-lane value of the mixed preset `p`.
+fn preset_p(lane: usize, data: &[f32]) -> Value {
+    if lane.is_multiple_of(2) {
+        Value::I64(lane as i64 * 3 - 7)
+    } else {
+        Value::F32(data[lane % data.len()])
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random bodies mixing `I64`, `F32` and `Bool` rows — divergent
+    /// type-changing stores, mixed-variant `select`, divergent loops, a
+    /// ragged final warp — evaluate bit-identically on the typed warp
+    /// evaluator and the scalar bytecode evaluator.
+    #[test]
+    fn typed_warp_rows_match_scalar_on_random_bodies(
+        genes in proptest::collection::vec(any::<u8>(), 16..96),
+        n_stmts in 1usize..7,
+        lanes in 2usize..33,
+        data in proptest::collection::vec(-4.0f32..4.0, 9..70),
+    ) {
+        let mut g = Genes { bytes: &genes, at: 0 };
+        let stmts: Vec<String> = (0..n_stmts).map(|_| typed_stmt(&mut g)).collect();
+        let tail = typed_num(&mut g, 3);
+        let src = format!(
+            "pipeline P() {{
+                actor T(pop 1, push 4) {{
+                    x = pop();
+                    k = lane * 7 - 20;
+                    b = x < 0.5;
+                    {}
+                    push(x);
+                    push(k);
+                    push(select(b, 1.0, 0.0));
+                    push({tail});
+                }}
+            }}",
+            stmts.join("\n")
+        );
+        let program = parse_program(&src).unwrap();
+        let body = &program.actors[0].work.body;
+        let binds = adaptic_repro::streamir::graph::bindings(&[]);
+        let prog = compile_body(body, &binds, &["lane", "p"]).unwrap();
+        let proto = prog.bind(&binds).unwrap();
+        let (lane_slot, p_slot) = (prog.slot_of("lane"), prog.slot_of("p"));
+        let firings = data.len();
+        let pushes = 4;
+
+        // Scalar reference, one firing at a time; firing `f` runs as
+        // lane `f % lanes` of its warp.
+        let mut frame = Frame::default();
+        frame.fit(&prog);
+        let mut want = Vec::new();
+        for (f, v) in data.iter().enumerate() {
+            let lane = f % lanes;
+            frame.reset(&proto);
+            if let Some(s) = lane_slot {
+                frame.set(s, Value::I64(lane as i64));
+            }
+            if let Some(s) = p_slot {
+                frame.set(s, preset_p(lane, &data));
+            }
+            let mut io = VecIo { input: vec![*v], ..VecIo::default() };
+            bytecode::eval(&prog, &mut frame, &mut io);
+            want.extend(io.output);
+        }
+
+        let mut wf = WarpFrame::default();
+        wf.fit(&prog, lanes);
+        let mut wio = VecWarpIo {
+            input: data.clone(),
+            cursor: vec![0; lanes],
+            output: vec![0.0; firings * pushes],
+            out_pos: vec![0; lanes],
+            state: HashMap::new(),
+        };
+        let mut base = 0;
+        while base < firings {
+            let live = lanes.min(firings - base);
+            for l in 0..live {
+                wio.cursor[l] = base + l;
+                wio.out_pos[l] = (base + l) * pushes;
+            }
+            let mask = full_mask(live);
+            wf.reset(&proto);
+            if let Some(s) = lane_slot {
+                wf.set_row(s, mask, |l| Value::I64(l as i64));
+            }
+            if let Some(s) = p_slot {
+                wf.set_row(s, mask, |l| preset_p(l, &data));
+            }
+            warp::eval(&prog, &mut wf, mask, &mut wio);
+            base += live;
+        }
+
+        prop_assert_eq!(want.len(), wio.output.len());
+        for (i, (a, b)) in want.iter().zip(&wio.output).enumerate() {
+            prop_assert_eq!(
+                a.to_bits(), b.to_bits(),
+                "push {}: scalar {} vs warp {}\n{}", i, a, b, src
+            );
+        }
+    }
+
+    /// Random expressions over mixed-type preset rows, evaluated under a
+    /// random partial mask, agree bit for bit with the scalar evaluator
+    /// on every active lane.
+    #[test]
+    fn typed_warp_rows_match_scalar_on_random_expressions(
+        genes in proptest::collection::vec(any::<u8>(), 8..64),
+        lanes in 1usize..65,
+        mask_bits in any::<u64>(),
+        data in proptest::collection::vec(-4.0f32..4.0, 64..65),
+    ) {
+        let mut g = Genes { bytes: &genes, at: 0 };
+        let src = format!(
+            "pipeline P() {{ actor E(pop 1, push 1) {{ push({}); }} }}",
+            typed_num(&mut g, 4)
+        );
+        let program = parse_program(&src).unwrap();
+        let adaptic_repro::streamir::ir::Stmt::Push(expr) = &program.actors[0].work.body[0]
+        else {
+            panic!("push statement");
+        };
+        let binds = adaptic_repro::streamir::graph::bindings(&[]);
+        let prog = bytecode::compile_expr(expr, &binds, &["x", "k", "p", "lane"]).unwrap();
+        let proto = prog.bind(&binds).unwrap();
+        let lane_val = |name: &str, l: usize| match name {
+            "x" => Value::F32(data[l]),
+            "k" => Value::I64(l as i64 * 5 - 40),
+            "p" => preset_p(l, &data),
+            _ => Value::I64(l as i64),
+        };
+        let mask = match mask_bits & full_mask(lanes) {
+            0 => 1,
+            m => m,
+        };
+
+        let mut wf = WarpFrame::default();
+        wf.fit(&prog, lanes);
+        wf.reset(&proto);
+        for name in ["x", "k", "p", "lane"] {
+            if let Some(s) = prog.slot_of(name) {
+                wf.set_row(s, mask, |l| lane_val(name, l));
+            }
+        }
+        let mut out = vec![f32::MAX; lanes];
+        warp::eval_row(&prog, &mut wf, mask, &mut VecWarpIo::default(), &mut out);
+
+        let mut frame = Frame::default();
+        frame.fit(&prog);
+        for l in (0..lanes).filter(|l| mask >> l & 1 != 0) {
+            frame.reset(&proto);
+            for name in ["x", "k", "p", "lane"] {
+                if let Some(s) = prog.slot_of(name) {
+                    frame.set(s, lane_val(name, l));
+                }
+            }
+            let want = bytecode::eval_value(&prog, &mut frame, &mut VecIo::default())
+                .as_f32()
+                .unwrap();
+            prop_assert_eq!(
+                want.to_bits(), out[l].to_bits(),
+                "lane {}: scalar {} vs warp {}\n{}", l, want, out[l], src
+            );
         }
     }
 }
